@@ -93,13 +93,20 @@ macro_rules! json {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deeply arrays and objects may nest, as in real serde_json. Each
+/// level is one recursive call (in the parser, and again when the
+/// `Value` is dropped or rendered), so an unbounded depth would let one
+/// short hostile line overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value> {
-    let mut parser = Parser { bytes: text.as_bytes(), at: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), at: 0, depth: 0 };
     let value = parser.value()?;
     parser.skip_ws();
     if parser.at != parser.bytes.len() {
@@ -150,14 +157,24 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value> {
         match self.peek() {
             None => Err(Error::new("unexpected end of input")),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
             Some(_) => self.number(),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!("recursion limit exceeded at byte {}", self.at)));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value> {
@@ -216,57 +233,81 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one go. Both are
+            // ASCII, so the run ends on a char boundary, and validating
+            // only the run keeps decoding linear in the input length.
+            let rest = &self.bytes[self.at..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(
+                std::str::from_utf8(&rest[..run]).map_err(|_| Error::new("invalid UTF-8"))?,
+            );
+            self.at += run;
             match self.bytes.get(self.at) {
                 None => return Err(Error::new("unterminated string")),
                 Some(b'"') => {
                     self.at += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or_else(|| Error::new("bad \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("bad \\u escape"))?,
-                            );
-                            self.at += 4;
-                        }
-                        other => {
-                            return Err(Error::new(format!(
-                                "bad escape {:?}",
-                                other.map(|&b| b as char)
-                            )))
-                        }
-                    }
-                    self.at += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| Error::new("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    self.at += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// Decodes the escape whose letter is at `self.at` (just past the
+    /// backslash) and moves past it.
+    fn escape(&mut self) -> Result<char> {
+        let c = match self.bytes.get(self.at) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let bad = || Error::new("bad \\u escape");
+                let code = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&code) {
+                    // A high surrogate only appears as the first half of a
+                    // `\uXXXX\uXXXX` pair encoding one astral char (how
+                    // Python's `json.dumps` escapes non-BMP text). A lone
+                    // surrogate of either half is no char and stays an
+                    // error.
+                    if self.bytes.get(self.at + 1..self.at + 3) != Some(&b"\\u"[..]) {
+                        return Err(bad());
+                    }
+                    self.at += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(bad());
+                    }
+                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    code
+                };
+                char::from_u32(code).ok_or_else(bad)?
+            }
+            other => {
+                return Err(Error::new(format!("bad escape {:?}", other.map(|&b| b as char))))
+            }
+        };
+        self.at += 1;
+        Ok(c)
+    }
+
+    /// Reads the four hex digits after the `u` at `self.at`, leaving
+    /// `self.at` on the last digit.
+    fn hex4(&mut self) -> Result<u32> {
+        let bad = || Error::new("bad \\u escape");
+        let hex = self.bytes.get(self.at + 1..self.at + 5).ok_or_else(bad)?;
+        let hex = std::str::from_utf8(hex).map_err(|_| bad())?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| bad())?;
+        self.at += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value> {

@@ -187,6 +187,11 @@ pub struct AnalysisStats {
     /// Reports the refutation pass proved spurious and dropped.
     #[serde(default)]
     pub reports_refuted: usize,
+    /// `reports_refuted` per function. The dropped reports leave no other
+    /// trace, so incremental re-analysis carries the unaffected
+    /// functions' counts forward from here, like their reports.
+    #[serde(default)]
+    pub refuted_functions: BTreeMap<String, usize>,
     /// Reports the refutation pass could not decide (fuel exhausted or no
     /// provenance); kept — exhaustion never refutes.
     #[serde(default)]
@@ -231,6 +236,9 @@ impl AnalysisStats {
         self.worker_profiles.extend(other.worker_profiles.iter().cloned());
         self.reports_confirmed += other.reports_confirmed;
         self.reports_refuted += other.reports_refuted;
+        for (name, n) in &other.refuted_functions {
+            *self.refuted_functions.entry(name.clone()).or_default() += n;
+        }
         self.reports_inconclusive += other.reports_inconclusive;
         self.classify_time += other.classify_time;
         self.analyze_time += other.analyze_time;

@@ -297,7 +297,7 @@ pub fn reanalyze_with_plan(
         reports: prev_reports,
         summaries: mut db,
         classification,
-        stats: _,
+        stats: prev_stats,
         degraded: prev_degraded,
     } = previous;
 
@@ -458,10 +458,20 @@ pub fn reanalyze_with_plan(
         }
     }
 
-    // Second-stage refutation over the merged (carried-over + recomputed)
-    // reports. Re-judging carried-over reports is deterministic, so their
-    // verdicts match the full run's — patched state diffs stay clean.
+    // Second-stage refutation over the merged reports. Only the
+    // recomputed ones are judged: a carried-over report keeps its
+    // verdict, which is exact because its function lies outside the
+    // affected cone and the cone is closed under callers — none of the
+    // callee summaries it was judged against changed. The unaffected
+    // functions' refuted counts carry over the same way, so the three
+    // counters match a full run's.
     if options.refute {
+        stats.refuted_functions = prev_stats
+            .refuted_functions
+            .into_iter()
+            .filter(|(name, _)| !affected.contains(name))
+            .collect();
+        stats.reports_refuted = stats.refuted_functions.values().sum();
         crate::refute::refute_pass(&db, options.budget.solver_fuel, &mut reports, &mut stats);
     }
 

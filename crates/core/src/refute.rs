@@ -33,8 +33,11 @@
 //! (cached reports are stage-one reports, so warm runs re-refute
 //! deterministically and stay byte-identical to cold runs), after the
 //! shard merge in multi-process mode (workers skip it, exactly like the
-//! callback pass), and at the end of incremental re-analysis. See
-//! `DESIGN.md` §17.
+//! callback pass), and at the end of incremental re-analysis. There it
+//! judges only the reports of re-analyzed functions: a carried-over
+//! report keeps the verdict it already has, because its function lies
+//! outside the affected cone, and the cone is closed under callers, so
+//! nothing the verdict was judged against changed. See `DESIGN.md` §17.
 
 use serde::{Deserialize, Serialize};
 
@@ -184,12 +187,14 @@ pub fn refute_report(
     verdict
 }
 
-/// The refutation pass: judges every report, records the verdict in its
-/// provenance (so `rid explain` can say why it survived), drops the
-/// refuted ones, and tallies the split into `stats`.
+/// The refutation pass: judges every report that has no verdict yet,
+/// records the verdict in its provenance (so `rid explain` can say why
+/// it survived), drops the refuted ones, and tallies the split into
+/// `stats`.
 ///
-/// Re-judging is deterministic, so reports that already carry a verdict
-/// (carried over by incremental re-analysis) converge to the same one.
+/// A report that already carries a verdict keeps it and is counted
+/// under it: only incremental re-analysis hands in such reports, and
+/// the module docs say why their verdicts still hold.
 pub(crate) fn refute_pass(
     db: &SummaryDb,
     fuel_budget: Option<u64>,
@@ -197,10 +202,14 @@ pub(crate) fn refute_pass(
     stats: &mut AnalysisStats,
 ) {
     reports.retain_mut(|report| {
-        let verdict = refute_report(report, db, fuel_budget);
+        let carried = report.provenance.as_ref().and_then(|p| p.refutation);
+        let verdict = carried.unwrap_or_else(|| refute_report(report, db, fuel_budget));
         match verdict {
             RefuteVerdict::Confirmed => stats.reports_confirmed += 1,
-            RefuteVerdict::Refuted => stats.reports_refuted += 1,
+            RefuteVerdict::Refuted => {
+                stats.reports_refuted += 1;
+                *stats.refuted_functions.entry(report.function.clone()).or_default() += 1;
+            }
             RefuteVerdict::Inconclusive => stats.reports_inconclusive += 1,
         }
         if let Some(p) = report.provenance.as_mut() {
@@ -310,6 +319,21 @@ mod tests {
         );
         assert_eq!((stats.reports_confirmed, stats.reports_refuted), (1, 1));
         assert_eq!(stats.reports_inconclusive, 0);
+        assert_eq!(stats.refuted_functions.get("f"), Some(&1));
+    }
+
+    #[test]
+    fn pass_keeps_carried_verdicts_without_rejudging() {
+        // A carried verdict is trusted as is: this report would be
+        // refuted if judged again, so surviving proves it was not.
+        let mut carried = report_with(pigeonhole(71), Conj::truth(), Vec::new());
+        carried.provenance.as_mut().unwrap().refutation = Some(RefuteVerdict::Inconclusive);
+        let mut reports = vec![carried];
+        let mut stats = AnalysisStats::default();
+        refute_pass(&SummaryDb::new(), None, &mut reports, &mut stats);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(stats.reports_inconclusive, 1);
+        assert_eq!((stats.reports_confirmed, stats.reports_refuted), (0, 0));
     }
 
     #[test]

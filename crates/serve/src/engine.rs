@@ -42,7 +42,7 @@ use serde_json::Value;
 use crate::fault::ServeFaultPlan;
 use crate::flightrec::BlackBox;
 use crate::journal::{self, Journal};
-use crate::protocol::{error_line, ok_line, ProjectOptions, Request};
+use crate::protocol::{error_line, ok_line, ok_lines, ProjectOptions, Request};
 use crate::snapshot::{
     self, read_snapshot, snap_file_name, write_snapshot, Manifest, ProjectSnapshot, SNAP_SCHEMA,
 };
@@ -970,26 +970,13 @@ impl<T> Engine<T> {
         run_patch(project, deadline_ms, &changed_refs, &plan);
         let result = project.last.force().expect("patch run just completed");
         let mut payload = analysis_payload(result, false);
-        push_field(&mut payload, "batched", serde_json::json!(batch.len()));
-        push_field(
-            &mut payload,
-            "changed",
-            serde_json::json!(changed.iter().cloned().collect::<Vec<String>>()),
-        );
-        push_field(&mut payload, "affected", serde_json::json!(affected));
-        push_field(
-            &mut payload,
-            "reexecuted",
-            serde_json::json!(result.stats.functions_analyzed),
-        );
-        let degraded = degraded_value(result);
-        batch
-            .into_iter()
-            .map(|p| {
-                let reply = ok_line(p.id, payload.clone(), degraded.clone());
-                (p.tag, reply)
-            })
-            .collect()
+        push_field(&mut payload, "batched", int(batch.len()));
+        push_field(&mut payload, "changed", strings(changed));
+        push_field(&mut payload, "affected", strings(affected));
+        push_field(&mut payload, "reexecuted", int(result.stats.functions_analyzed));
+        let ids: Vec<u64> = batch.iter().map(|p| p.id).collect();
+        let replies = ok_lines(&ids, payload, degraded_value(result));
+        batch.into_iter().map(|p| p.tag).zip(replies).collect()
     }
 
     fn execute_explain(&mut self, pending: Pending<T>) -> (T, String) {
@@ -1039,20 +1026,25 @@ impl<T> Engine<T> {
         }
         let last = project.last.force().expect("analysis just ran");
         let diff = rid_core::classify_reports(&baseline, &last.reports);
-        let entry = |(hash, idx): &(String, usize)| {
-            serde_json::json!({
-                "hash": hash,
-                "function": last.reports[*idx].function,
-                "refcount": last.reports[*idx].refcount.to_string(),
-            })
+        let entries = |pairs: Vec<(String, usize)>| {
+            let entry = |(hash, idx): (String, usize)| {
+                let report = &last.reports[idx];
+                object([
+                    ("hash", Value::Str(hash)),
+                    ("function", Value::Str(report.function.clone())),
+                    ("refcount", Value::Str(report.refcount.to_string())),
+                ])
+            };
+            Value::Seq(pairs.into_iter().map(entry).collect())
         };
-        let result = serde_json::json!({
-            "new": diff.new.iter().map(entry).collect::<Vec<_>>(),
-            "unchanged": diff.unchanged.iter().map(entry).collect::<Vec<_>>(),
-            "resolved": diff.resolved,
-            "new_count": diff.new.len(),
-            "report_count": last.reports.len(),
-        });
+        let new_count = diff.new.len();
+        let result = object([
+            ("new", entries(diff.new)),
+            ("unchanged", entries(diff.unchanged)),
+            ("resolved", strings(diff.resolved)),
+            ("new_count", int(new_count)),
+            ("report_count", int(last.reports.len())),
+        ]);
         (pending.tag, ok_line(pending.id, result, degraded_value(last)))
     }
 
@@ -1494,18 +1486,18 @@ fn run_patch(
 /// (which reuses the previous result's summaries directly instead of
 /// probing the cache) omits them.
 fn analysis_payload(result: &AnalysisResult, include_cache: bool) -> Value {
-    let mut payload = serde_json::json!({
-        "report_count": result.reports.len(),
-        "reports": compact_reports(result),
-        "functions_total": result.stats.functions_total,
-        "functions_analyzed": result.stats.functions_analyzed,
-    });
+    let mut payload = object([
+        ("report_count", int(result.reports.len())),
+        ("reports", compact_reports(result)),
+        ("functions_total", int(result.stats.functions_total)),
+        ("functions_analyzed", int(result.stats.functions_analyzed)),
+    ]);
     if include_cache {
-        let cache = serde_json::json!({
-            "hits": result.stats.cache_hits,
-            "misses": result.stats.cache_misses,
-            "invalidated": result.stats.cache_invalidated,
-        });
+        let cache = object([
+            ("hits", int(result.stats.cache_hits)),
+            ("misses", int(result.stats.cache_misses)),
+            ("invalidated", int(result.stats.cache_invalidated)),
+        ]);
         push_field(&mut payload, "cache", cache);
     }
     payload
@@ -1519,15 +1511,15 @@ fn compact_reports(result: &AnalysisResult) -> Value {
             .reports
             .iter()
             .map(|report| {
-                serde_json::json!({
-                    "function": report.function,
-                    "refcount": report.refcount.to_string(),
-                    "change_a": report.change_a,
-                    "change_b": report.change_b,
-                    "path_a": report.path_a,
-                    "path_b": report.path_b,
-                    "callback": report.callback,
-                })
+                object([
+                    ("function", Value::Str(report.function.clone())),
+                    ("refcount", Value::Str(report.refcount.to_string())),
+                    ("change_a", int(report.change_a)),
+                    ("change_b", int(report.change_b)),
+                    ("path_a", int(report.path_a)),
+                    ("path_b", int(report.path_b)),
+                    ("callback", Value::Bool(report.callback)),
+                ])
             })
             .collect(),
     )
@@ -1542,14 +1534,32 @@ fn degraded_value(result: &AnalysisResult) -> Value {
             .degraded
             .iter()
             .map(|(name, degradation)| {
-                serde_json::json!({
-                    "function": name,
-                    "reason": degradation.reason.label(),
-                    "wall_ms": degradation.cost.wall_ms,
-                })
+                object([
+                    ("function", Value::Str(name.clone())),
+                    ("reason", Value::Str(degradation.reason.label().to_owned())),
+                    ("wall_ms", int(degradation.cost.wall_ms)),
+                ])
             })
             .collect(),
     )
+}
+
+/// An object built from owned fields. Reply payloads are assembled this
+/// way rather than with `json!`, which serializes, and so deep-copies,
+/// every value handed to it.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(fields.into_iter().map(|(key, value)| (key.to_owned(), value)).collect())
+}
+
+/// An integer field. Every count and id in a reply fits in an `i64`,
+/// the serde stub's one integer representation.
+fn int(n: impl TryInto<i64>) -> Value {
+    Value::Int(n.try_into().unwrap_or(i64::MAX))
+}
+
+/// A string array, moving the strings in.
+fn strings(items: impl IntoIterator<Item = String>) -> Value {
+    Value::Seq(items.into_iter().map(Value::Str).collect())
 }
 
 fn unknown_project(id: u64, project: &str) -> String {

@@ -139,19 +139,30 @@ pub struct ProjectOptions {
 /// Builds a success response line: `{id, ok:true, protocol, result,
 /// degraded}`.
 ///
-/// Serialization failure (a payload carrying a non-finite float, say)
-/// degrades to a hand-assembled `internal` error envelope instead of
-/// panicking — one bad payload must cost one request, not the daemon.
+/// `result` and `degraded` are moved into the envelope and rendered
+/// once: a `patch` result holds every resident report, and the
+/// `json!`/`to_string` route would deep-copy it on the way.
 #[must_use]
 pub fn ok_line(id: u64, result: Value, degraded: Value) -> String {
-    let envelope = serde_json::json!({
-        "id": id,
-        "ok": true,
-        "protocol": PROTOCOL_VERSION,
-        "result": result,
-        "degraded": degraded,
-    });
-    serde_json::to_string(&envelope).unwrap_or_else(|e| fallback_line(Some(id), &e.to_string()))
+    Value::Map(vec![
+        ("id".to_owned(), Value::Int(id as i64)),
+        ("ok".to_owned(), Value::Bool(true)),
+        ("protocol".to_owned(), Value::Str(PROTOCOL_VERSION.to_owned())),
+        ("result".to_owned(), result),
+        ("degraded".to_owned(), degraded),
+    ])
+    .to_json()
+}
+
+/// One [`ok_line`] per id in `ids`, all answering with the same `result`
+/// and `degraded`: the replies to a coalesced batch. The replies differ
+/// only in their leading `id`, so the envelope is rendered once and each
+/// id is spliced in front of the shared rest.
+#[must_use]
+pub fn ok_lines(ids: &[u64], result: Value, degraded: Value) -> Vec<String> {
+    let template = ok_line(0, result, degraded);
+    let rest = &template[r#"{"id":0"#.len()..];
+    ids.iter().map(|&id| format!(r#"{{"id":{}{rest}"#, id as i64)).collect()
 }
 
 /// Builds an error response line: `{id, ok:false, protocol, error:{kind,
@@ -231,6 +242,16 @@ mod tests {
         assert!(err["id"].is_null());
         assert_eq!(err["ok"].as_bool(), Some(false));
         assert_eq!(err["error"]["kind"].as_str(), Some("parse"));
+    }
+
+    #[test]
+    fn batch_replies_match_single_replies() {
+        let result = serde_json::json!({"reports": vec![serde_json::json!({"function": "f"})]});
+        let degraded = serde_json::json!([serde_json::json!({"function": "g", "ms": 3})]);
+        let lines = ok_lines(&[0, 7, 12345], result.clone(), degraded.clone());
+        for (line, id) in lines.iter().zip([0, 7, 12345]) {
+            assert_eq!(line, &ok_line(id, result.clone(), degraded.clone()));
+        }
     }
 
     #[test]

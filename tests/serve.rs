@@ -338,3 +338,209 @@ fn diff_op_classifies_resident_reports_against_the_baseline() {
     assert_eq!(usage["ok"].as_bool(), Some(false));
     assert_eq!(usage["error"]["kind"].as_str(), Some("usage"));
 }
+
+/// The `json!` + `to_string` rendering every success reply took before
+/// payloads were moved into the envelope. Replies must stay
+/// byte-identical to it.
+fn json_ok_line(id: u64, result: Value) -> String {
+    serde_json::to_string(&serde_json::json!({
+        "id": id,
+        "ok": true,
+        "protocol": rid::serve::PROTOCOL_VERSION,
+        "result": result,
+        "degraded": Vec::<Value>::new(),
+    }))
+    .unwrap()
+}
+
+/// The `analyze`/`patch` payload, rendered the `json!` way.
+fn json_payload(result: &rid::core::AnalysisResult) -> Value {
+    let reports: Vec<Value> = result
+        .reports
+        .iter()
+        .map(|report| {
+            serde_json::json!({
+                "function": report.function,
+                "refcount": report.refcount.to_string(),
+                "change_a": report.change_a,
+                "change_b": report.change_b,
+                "path_a": report.path_a,
+                "path_b": report.path_b,
+                "callback": report.callback,
+            })
+        })
+        .collect();
+    serde_json::json!({
+        "report_count": result.reports.len(),
+        "reports": reports,
+        "functions_total": result.stats.functions_total,
+        "functions_analyzed": result.stats.functions_analyzed,
+    })
+}
+
+fn push(payload: &mut Value, key: &str, value: Value) {
+    if let Value::Map(pairs) = payload {
+        pairs.push((key.to_owned(), value));
+    }
+}
+
+/// The `patch` payload, rendered the `json!` way.
+fn json_patch_payload(
+    result: &rid::core::AnalysisResult,
+    batched: usize,
+    changed: &[&str],
+    affected: &[String],
+) -> Value {
+    let mut payload = json_payload(result);
+    push(&mut payload, "batched", serde_json::json!(batched));
+    push(&mut payload, "changed", serde_json::json!(changed));
+    push(&mut payload, "affected", serde_json::json!(affected));
+    push(&mut payload, "reexecuted", serde_json::json!(result.stats.functions_analyzed));
+    payload
+}
+
+/// `buggy.ril` with a second Figure 8 function.
+fn buggy_with_probe2() -> String {
+    format!("{BUGGY_MOD}\n{}", BUGGY_MOD.replace("module buggy;", "").replace("probe", "probe2"))
+}
+
+/// The reply lines of `analyze`, `patch`, `diff` and a two-request
+/// coalesced `patch` batch, byte for byte against the `json!` rendering
+/// of an independent library-side run over the same edits.
+#[test]
+fn reply_lines_match_the_json_macro_rendering() {
+    let _g = lock();
+    let apis = rid::core::apis::linux_dpm_apis();
+    let options = rid::core::AnalysisOptions::default();
+    let parse = |sources: &[&str]| rid::frontend::parse_program(sources.iter().copied()).unwrap();
+    let probe2 = buggy_with_probe2();
+
+    // Library side: analyze, then the single patch, then the batch.
+    let program = parse(&[MOD_A, MOD_B, BUGGY_MOD]);
+    let mut cache = rid::core::SummaryCache::new();
+    let analyzed = rid::core::analyze_program_cached(
+        &program,
+        &apis,
+        &options,
+        &rid::core::FaultPlan::none(),
+        Some(&mut cache),
+    );
+    let patch = |previous: &rid::core::AnalysisResult, sources: &[&str], changed: &[&str]| {
+        let program = parse(sources);
+        let plan = rid::core::incremental::CallerIndex::build(&program).plan(&program, changed);
+        let mut affected: Vec<String> = plan.affected.iter().cloned().collect();
+        affected.sort_unstable();
+        let result = rid::core::incremental::reanalyze_with_plan(
+            &program,
+            &apis,
+            previous.clone(),
+            changed,
+            &options,
+            &plan,
+        );
+        (result, affected)
+    };
+    let (patched, patched_affected) = patch(&analyzed, &[MOD_A, MOD_B, &probe2], &["probe2"]);
+    let (batched, batched_affected) =
+        patch(&patched, &[MOD_A_EDIT, MOD_B, BUGGY_MOD], &["leaf", "probe2"]);
+    let stale = "0123456789abcdef0123456789abcdef".to_owned();
+    let baseline = vec![rid::core::report_hash(&patched.reports[0]), stale];
+
+    let mut analyze_payload = json_payload(&analyzed);
+    push(
+        &mut analyze_payload,
+        "cache",
+        serde_json::json!({
+            "hits": analyzed.stats.cache_hits,
+            "misses": analyzed.stats.cache_misses,
+            "invalidated": analyzed.stats.cache_invalidated,
+        }),
+    );
+    let diff = rid::core::classify_reports(&baseline, &patched.reports);
+    let entry = |(hash, idx): &(String, usize)| {
+        serde_json::json!({
+            "hash": hash,
+            "function": patched.reports[*idx].function,
+            "refcount": patched.reports[*idx].refcount.to_string(),
+        })
+    };
+    let diff_payload = serde_json::json!({
+        "new": diff.new.iter().map(entry).collect::<Vec<_>>(),
+        "unchanged": diff.unchanged.iter().map(entry).collect::<Vec<_>>(),
+        "resolved": diff.resolved,
+        "new_count": diff.new.len(),
+        "report_count": patched.reports.len(),
+    });
+    let batch_payload = json_patch_payload(&batched, 2, &["leaf", "probe2"], &batched_affected);
+    let expected = [
+        (2, json_ok_line(2, analyze_payload)),
+        (3, json_ok_line(3, json_patch_payload(&patched, 1, &["probe2"], &patched_affected))),
+        (4, json_ok_line(4, diff_payload)),
+        (5, json_ok_line(5, batch_payload.clone())),
+        (6, json_ok_line(6, batch_payload)),
+    ];
+
+    // Daemon side: the same edits as requests.
+    let input = [
+        line(serde_json::json!({
+            "id": 1, "op": "register", "project": "p",
+            "sources": serde_json::json!({
+                "a.ril": MOD_A, "b.ril": MOD_B, "buggy.ril": BUGGY_MOD,
+            }),
+        })),
+        line(serde_json::json!({ "id": 2, "op": "analyze", "project": "p" })),
+        line(serde_json::json!({
+            "id": 3, "op": "patch", "project": "p",
+            "sources": serde_json::json!({ "buggy.ril": probe2 }),
+        })),
+        line(serde_json::json!({ "id": 4, "op": "diff", "project": "p", "baseline": baseline })),
+        line(serde_json::json!({
+            "id": 5, "op": "patch", "project": "p", "defer": true,
+            "sources": serde_json::json!({ "a.ril": MOD_A_EDIT }),
+        })),
+        line(serde_json::json!({
+            "id": 6, "op": "patch", "project": "p", "defer": true,
+            "sources": serde_json::json!({ "buggy.ril": BUGGY_MOD }),
+        })),
+        line(serde_json::json!({ "id": 7, "op": "ping" })),
+        line(serde_json::json!({ "id": 8, "op": "analyze", "project": "p" })),
+    ];
+    let mut output = Vec::new();
+    serve_stdio(
+        std::io::Cursor::new(format!("{}\n", input.join("\n"))),
+        &mut output,
+        ServerConfig::default(),
+    )
+    .expect("stdio serve loop");
+    let output = String::from_utf8(output).unwrap();
+    for (id, want) in expected {
+        let prefix = format!("{{\"id\":{id},");
+        let got = output.lines().find(|l| l.starts_with(&prefix)).expect("a reply per request");
+        assert_eq!(got, want, "reply {id}");
+    }
+}
+
+/// A line nesting far deeper than any stack could recurse (200,000 `[`,
+/// far under the frame limit) is a `parse` error, and the daemon answers
+/// the next request. A module whose text is sent with surrogate-pair
+/// escapes, as Python's `json.dumps` writes non-BMP characters,
+/// registers like its raw UTF-8 form.
+#[test]
+fn hostile_nesting_and_escaped_text_do_not_break_the_daemon() {
+    let _g = lock();
+    let escaped = concat!(
+        r#"{"id":3,"op":"register","project":"u","sources":{"m.ril":"#,
+        r#""module m;\n// \ud83d\ude00 caf\u00e9\nfn f(dev) {\n    return 0;\n}\n"}}"#,
+    );
+    let responses = run_stdio(&[
+        "[".repeat(200_000),
+        line(serde_json::json!({ "id": 2, "op": "ping" })),
+        escaped.to_owned(),
+    ]);
+    assert_eq!(responses[0]["error"]["kind"].as_str(), Some("parse"));
+    assert!(responses[0]["id"].is_null());
+    assert_eq!(by_id(&responses, 2)["result"]["pong"].as_bool(), Some(true));
+    let registered = by_id(&responses, 3);
+    assert_eq!(registered["ok"].as_bool(), Some(true), "{registered}");
+    assert_eq!(registered["result"]["functions"].as_u64(), Some(1));
+}
