@@ -18,7 +18,7 @@
 //!   `Duration`, `Box`, and references.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 #[cfg(feature = "derive")]
@@ -152,17 +152,28 @@ impl PartialEq<u64> for Value {
 
 fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each run of bytes that needs no escape in one `push_str`. Every
+    // escaped byte is ASCII, so runs start and end on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -171,7 +182,9 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Float(f) => {
                 if f.fract() == 0.0 && f.is_finite() {
                     out.push_str(&format!("{f:.1}"));
@@ -206,8 +219,11 @@ impl Value {
     }
 
     fn write_pretty(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let inner_pad = "  ".repeat(indent + 1);
+        let pad = |out: &mut String, level: usize| {
+            for _ in 0..level {
+                out.push_str("  ");
+            }
+        };
         match self {
             Value::Seq(items) if !items.is_empty() => {
                 out.push_str("[\n");
@@ -215,11 +231,11 @@ impl Value {
                     if i > 0 {
                         out.push_str(",\n");
                     }
-                    out.push_str(&inner_pad);
+                    pad(out, indent + 1);
                     item.write_pretty(out, indent + 1);
                 }
                 out.push('\n');
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push(']');
             }
             Value::Map(pairs) if !pairs.is_empty() => {
@@ -228,13 +244,13 @@ impl Value {
                     if i > 0 {
                         out.push_str(",\n");
                     }
-                    out.push_str(&inner_pad);
+                    pad(out, indent + 1);
                     write_json_string(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, indent + 1);
                 }
                 out.push('\n');
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push('}');
             }
             other => other.write_compact(out),
@@ -793,6 +809,21 @@ impl<'de> Deserialize<'de> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_text_escapes_and_indents() {
+        let text = "q\"b\\n\nr\rt\t\u{1}\u{1f} é日🦀 end";
+        let v = Value::Map(vec![
+            ("s".into(), Value::Str(text.into())),
+            ("n".into(), Value::Seq(vec![Value::Int(-42), Value::Seq(vec![]), Value::Map(vec![])])),
+        ]);
+        let escaped = r#""q\"b\\n\nr\rt\t\u0001\u001f é日🦀 end""#;
+        assert_eq!(v.to_json(), format!(r#"{{"s":{escaped},"n":[-42,[],{{}}]}}"#));
+        assert_eq!(
+            v.to_json_pretty(),
+            format!("{{\n  \"s\": {escaped},\n  \"n\": [\n    -42,\n    [],\n    {{}}\n  ]\n}}")
+        );
+    }
 
     #[test]
     fn value_accessors() {

@@ -153,25 +153,24 @@ fn read_sources(files: &[PathBuf]) -> Result<Vec<String>, String> {
         .collect()
 }
 
+/// The value of `--name`, if given. A value that does not parse is a
+/// usage error naming the flag and `what` it expects (exit 3), never a
+/// silent fallback to the default.
+fn parsed<T: std::str::FromStr>(args: &Args, name: &str, what: &str) -> Result<Option<T>, String> {
+    args.options
+        .get(name)
+        .map(|v| v.parse().map_err(|_| format!("--{name} expects {what}, got `{v}`")))
+        .transpose()
+}
+
 fn analysis_options(args: &Args) -> Result<AnalysisOptions, String> {
     let ms_option = |name: &str| -> Result<Option<std::time::Duration>, String> {
-        args.options
-            .get(name)
-            .map(|v| {
-                v.parse::<u64>()
-                    .map(std::time::Duration::from_millis)
-                    .map_err(|_| format!("--{name} expects milliseconds, got `{v}`"))
-            })
-            .transpose()
+        Ok(parsed(args, name, "milliseconds")?.map(std::time::Duration::from_millis))
     };
     let budget = rid_core::Budget {
         func_deadline: ms_option("deadline-ms")?,
         global_deadline: ms_option("global-deadline-ms")?,
-        solver_fuel: args
-            .options
-            .get("fuel")
-            .map(|v| v.parse().map_err(|_| format!("--fuel expects a number, got `{v}`")))
-            .transpose()?,
+        solver_fuel: parsed(args, "fuel", "a number")?,
     };
     let exec_mode = match args.options.get("exec-mode").map(String::as_str) {
         None | Some("auto") => rid_core::ExecMode::Auto,
@@ -183,16 +182,8 @@ fn analysis_options(args: &Args) -> Result<AnalysisOptions, String> {
         selective: !args.flags.iter().any(|f| f == "no-selective"),
         check_callbacks: args.flags.iter().any(|f| f == "callbacks"),
         refute: !args.flags.iter().any(|f| f == "no-refute"),
-        threads: args
-            .options
-            .get("threads")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(1),
-        steal_batch: args
-            .options
-            .get("steal-batch")
-            .and_then(|t| t.parse().ok())
-            .unwrap_or(0),
+        threads: parsed(args, "threads", "a count")?.unwrap_or(1),
+        steal_batch: parsed(args, "steal-batch", "a count")?.unwrap_or(0),
         budget,
         exec_mode,
         ..Default::default()
@@ -236,18 +227,17 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         .map_err(|e| format!("--fault-plan: {path}: {e}"))?,
         None => rid_core::FaultPlan::none(),
     };
-    let processes: Option<usize> = args
-        .options
-        .get("processes")
-        .map(|v| v.parse().map_err(|_| format!("--processes expects a count, got `{v}`")))
-        .transpose()?;
+    let processes: Option<usize> = parsed(args, "processes", "a count")?;
 
     let cache_path = args.options.get("cache").map(PathBuf::from);
+    let separate = args.flags.iter().any(|f| f == "separate");
     // Shard-worker trace lanes, captured only on the `--processes` path
     // when tracing is on; merged with the coordinator's own ring below.
     let mut stitched: Option<rid_core::StitchedTrace> = None;
-    let result = if let Some(processes) = processes {
-        if args.flags.iter().any(|f| f == "separate") {
+    // The plain and cached paths return the `Program` they analyzed, for
+    // text output to render from.
+    let (result, program) = if let Some(processes) = processes {
+        if separate {
             return Err("--processes is not supported with --separate".to_owned());
         }
         // The coordinator owns the cache file end to end (warm start and
@@ -262,8 +252,8 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         )
         .map_err(|e| e.to_string())?;
         stitched = traced;
-        result
-    } else if args.flags.iter().any(|f| f == "separate") {
+        (result, None)
+    } else if separate {
         if cache_path.is_some() {
             return Err("--cache is not supported with --separate".to_owned());
         }
@@ -275,7 +265,9 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         let modules: Result<Vec<_>, _> =
             sources.iter().map(|s| rid_frontend::parse_module(s)).collect();
         let modules = modules.map_err(|e| e.to_string())?;
-        analyze_modules_separately(&modules, &apis, &options).map_err(|e| e.to_string())?
+        let result =
+            analyze_modules_separately(&modules, &apis, &options).map_err(|e| e.to_string())?;
+        (result, None)
     } else if let Some(path) = &cache_path {
         let program = rid_frontend::parse_program(sources.iter().map(String::as_str))
             .map_err(|e| e.to_string())?;
@@ -302,20 +294,26 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
             cache.len(),
             path.display()
         );
-        result
+        (result, Some(program))
     } else {
         let program = rid_frontend::parse_program(sources.iter().map(String::as_str))
             .map_err(|e| e.to_string())?;
-        rid_core::driver::analyze_program_with_faults(&program, &apis, &options, &faults)
+        let result =
+            rid_core::driver::analyze_program_with_faults(&program, &apis, &options, &faults);
+        (result, Some(program))
     };
 
-    let program =
-        rid_frontend::parse_program(sources.iter().map(String::as_str)).ok();
-
-    if args.flags.iter().any(|f| f == "json") {
-        let json = serde_json::to_string_pretty(&result.reports)
+    let json = args.flags.iter().any(|f| f == "json");
+    // Text output restores parameter names, so the two paths without a
+    // linked program parse one for it; JSON output never reads it.
+    let program = match program {
+        None if !json => rid_frontend::parse_program(sources.iter().map(String::as_str)).ok(),
+        program => program,
+    };
+    if json {
+        let rendered = serde_json::to_string_pretty(&result.reports)
             .map_err(|e| e.to_string())?;
-        println!("{json}");
+        println!("{rendered}");
     } else {
         print!("{}", rid_core::render_reports(&result.reports, program.as_ref()));
         eprintln!(
@@ -734,16 +732,14 @@ fn cmd_gen_kernel(args: &Args) -> Result<(), String> {
         .options
         .get("out")
         .ok_or_else(|| "--out <dir> is required".to_owned())?;
-    let seed: u64 = args.options.get("seed").and_then(|s| s.parse().ok()).unwrap_or(2016);
+    let seed: u64 = parsed(args, "seed", "a number")?.unwrap_or(2016);
     let mut config = if args.flags.iter().any(|f| f == "tiny") {
         rid_corpus::kernel::KernelConfig::tiny(seed)
     } else {
         rid_corpus::kernel::KernelConfig::evaluation(seed)
     };
-    if let Some(n) = args.options.get("spurious") {
-        config.seeded_spurious = n
-            .parse()
-            .map_err(|_| format!("--spurious expects a count, got `{n}`"))?;
+    if let Some(n) = parsed(args, "spurious", "a count")? {
+        config.seeded_spurious = n;
     }
     let corpus = rid_corpus::kernel::generate_kernel(&config);
     let dir = Path::new(out);
@@ -777,12 +773,6 @@ fn cmd_gen_kernel(args: &Args) -> Result<(), String> {
 /// until SIGTERM/SIGINT or a `shutdown` request, draining the queue
 /// before exit.
 fn cmd_serve(args: &Args) -> Result<u8, String> {
-    fn parsed<T: std::str::FromStr>(args: &Args, name: &str, what: &str) -> Result<Option<T>, String> {
-        args.options
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("--{name} expects {what}, got `{v}`")))
-            .transpose()
-    }
     let defaults = rid_serve::ServerConfig::default();
     let config = rid_serve::ServerConfig {
         queue_cap: parsed(args, "queue-cap", "a number")?.unwrap_or(defaults.queue_cap),
@@ -870,14 +860,7 @@ fn cmd_client(args: &Args) -> Result<u8, String> {
         request.sources.insert(name, text);
     }
     request.function = args.options.get("function").cloned();
-    request.deadline_ms = args
-        .options
-        .get("deadline-ms")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--deadline-ms expects milliseconds, got `{v}`"))
-        })
-        .transpose()?;
+    request.deadline_ms = parsed(args, "deadline-ms", "milliseconds")?;
     request.idem = args.options.get("idem").cloned();
     request.format = args.options.get("format").cloned();
     // The daemon returns the raw diff classification (PROTOCOL.md);
@@ -892,15 +875,9 @@ fn cmd_client(args: &Args) -> Result<u8, String> {
         let old = load_state(Path::new(path)).map_err(|e| format!("--baseline: {path}: {e}"))?;
         request.baseline = Some(old.reports.iter().map(rid_core::report_hash).collect());
     }
-    let parse_u64 = |name: &str| -> Result<Option<u64>, String> {
-        args.options
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("--{name} expects a number, got `{v}`")))
-            .transpose()
-    };
-    let retries = parse_u64("retries")?;
-    let retry_base_ms = parse_u64("retry-base-ms")?;
-    let timeout_ms = parse_u64("timeout-ms")?;
+    let retries: Option<u64> = parsed(args, "retries", "a number")?;
+    let retry_base_ms: Option<u64> = parsed(args, "retry-base-ms", "a number")?;
+    let timeout_ms: Option<u64> = parsed(args, "timeout-ms", "a number")?;
     #[cfg(unix)]
     {
         let timeout = timeout_ms.map(std::time::Duration::from_millis);
@@ -968,15 +945,8 @@ fn cmd_top(args: &Args) -> Result<u8, String> {
         .options
         .get("socket")
         .ok_or_else(|| "--socket <path> is required".to_owned())?;
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        args.options
-            .get(name)
-            .map_or(Ok(default), |v| {
-                v.parse().map_err(|_| format!("--{name} expects a number, got `{v}`"))
-            })
-    };
-    let interval_ms = parse_u64("interval-ms", 1000)?;
-    let iters = parse_u64("iters", 1)?;
+    let interval_ms: u64 = parsed(args, "interval-ms", "a number")?.unwrap_or(1000);
+    let iters: u64 = parsed(args, "iters", "a number")?.unwrap_or(1);
     if iters == 0 {
         return Err("--iters expects a positive count".to_owned());
     }

@@ -363,6 +363,68 @@ fn bad_usage_exits_3() {
         .output()
         .unwrap();
     assert_eq!(output.status.code(), Some(3), "unparsable budget flag is fatal");
+
+    // Malformed numeric flags are usage errors, never a silent default.
+    let dir = tempdir("bad-flags");
+    let file = write(&dir, "clean.ril", CLEAN);
+    let out = dir.join("corpus");
+    let cases: [(&[&str], &str); 3] = [
+        (&["analyze", file.to_str().unwrap(), "--threads", "two"], "--threads"),
+        (&["analyze", file.to_str().unwrap(), "--steal-batch", "x"], "--steal-batch"),
+        (&["gen-kernel", "--seed", "2O16", "--out", out.to_str().unwrap()], "--seed"),
+    ];
+    for (args, flag) in cases {
+        let output = rid().args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(3), "{args:?}: {}", stderr(&output));
+        assert!(stderr(&output).contains(&format!("{flag} expects")), "{}", stderr(&output));
+    }
+    assert!(!out.exists(), "a rejected gen-kernel writes nothing");
+}
+
+/// The `lower` spans (one per parsed module) in a `--trace` run's JSONL
+/// sidecar.
+fn lower_spans(trace: &std::path::Path) -> usize {
+    let jsonl = std::fs::read_to_string(format!("{}.jsonl", trace.display())).unwrap();
+    rid_core::parse_trace_jsonl(&jsonl)
+        .iter()
+        .filter(|event| event.kind == rid_obs::SpanKind::Lower)
+        .count()
+}
+
+#[test]
+fn analyze_parses_each_file_once() {
+    let dir = tempdir("parse-once");
+    let files = [write(&dir, "radeon.ril", FIG8), write(&dir, "clean.ril", CLEAN)];
+    let cache = dir.join("store.bin");
+    let cache = cache.to_str().unwrap();
+    let runs: [(&str, &[&str]); 4] = [
+        ("text", &[]),
+        ("json", &["--json"]),
+        ("cold-cache", &["--cache", cache]),
+        ("warm-cache", &["--cache", cache]),
+    ];
+    for (tag, extra) in runs {
+        let trace = dir.join(format!("{tag}.json"));
+        let output = rid()
+            .arg("analyze")
+            .args(&files)
+            .args(extra)
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{tag}: {}", stderr(&output));
+        assert_eq!(lower_spans(&trace), files.len(), "{tag}: one parse per file");
+        if tag != "json" {
+            // Text output renders parameter names from the analyzed program.
+            let text = stdout(&output);
+            assert!(text.contains("[dev].pm"), "{tag}: parameter names restored: {text}");
+        }
+        if tag == "warm-cache" {
+            let err = stderr(&output);
+            assert!(err.contains("cache: 2 hit(s), 0 miss(es)"), "{err}");
+        }
+    }
 }
 
 /// The chaos smoke path from the CI pipeline, run in-process: start the

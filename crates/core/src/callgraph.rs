@@ -7,47 +7,67 @@
 //! calls to functions not yet summarized fall back to the default summary.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use rid_ir::Program;
+use rid_ir::{Function, Program, Sym};
 
 /// The call graph over a program's defined functions.
 ///
 /// Calls to functions without a definition (externs / predefined APIs) are
 /// recorded separately in [`CallGraph::unknown_callees`].
+///
+/// Nodes are keyed by interned handle, so building the graph and looking
+/// up a callee hash 4 bytes, never the name's text. The SCCs are computed
+/// once, on first use, and shared by [`CallGraph::sccs`],
+/// [`CallGraph::condensation`] and classification.
 #[derive(Clone, Debug)]
 pub struct CallGraph {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
+    names: Vec<Sym>,
+    index: HashMap<Sym, usize>,
     /// `edges[i]` = indices of defined functions called by function `i`
     /// (deduplicated, sorted).
     edges: Vec<Vec<usize>>,
     /// `callers[i]` = indices of defined functions calling function `i`.
     callers: Vec<Vec<usize>>,
-    /// Names of called-but-undefined functions per function.
-    unknown: Vec<Vec<String>>,
+    /// Called-but-undefined functions per function (sorted by name,
+    /// deduplicated).
+    unknown: Vec<Vec<Sym>>,
+    /// `unknown` as owned text, built on the first
+    /// [`CallGraph::unknown_callees`] call.
+    unknown_text: OnceLock<Vec<Vec<String>>>,
+    /// Tarjan's SCCs, built on first use.
+    sccs: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl CallGraph {
     /// Builds the call graph of `program`.
     #[must_use]
     pub fn build(program: &Program) -> CallGraph {
-        let functions = program.functions();
-        let names: Vec<String> = functions.iter().map(|f| f.name().to_owned()).collect();
-        let index: HashMap<String, usize> =
-            names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
+        CallGraph::from_functions(&program.functions())
+    }
+
+    /// Builds the call graph over `functions`, which must be
+    /// [`Program::functions`] of the program being analyzed: node `i` is
+    /// `functions[i]`. Callers that need that list too compute it once
+    /// and share it, instead of re-sorting the program's names.
+    #[must_use]
+    pub fn from_functions(functions: &[&Function]) -> CallGraph {
+        let names: Vec<Sym> = functions.iter().map(|f| f.name_sym()).collect();
+        let index: HashMap<Sym, usize> =
+            names.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let mut edges = vec![Vec::new(); names.len()];
         let mut callers = vec![Vec::new(); names.len()];
         let mut unknown = vec![Vec::new(); names.len()];
         for (i, func) in functions.iter().enumerate() {
-            for callee in func.callees() {
-                match index.get(callee) {
+            for callee in func.callee_syms() {
+                match index.get(&callee) {
                     Some(&j) => edges[i].push(j),
-                    None => unknown[i].push(callee.to_owned()),
+                    None => unknown[i].push(callee),
                 }
             }
             edges[i].sort_unstable();
             edges[i].dedup();
-            unknown[i].sort();
+            unknown[i].sort_unstable();
             unknown[i].dedup();
         }
         for (i, callees) in edges.iter().enumerate() {
@@ -55,7 +75,15 @@ impl CallGraph {
                 callers[j].push(i);
             }
         }
-        CallGraph { names, index, edges, callers, unknown }
+        CallGraph {
+            names,
+            index,
+            edges,
+            callers,
+            unknown,
+            unknown_text: OnceLock::new(),
+            sccs: OnceLock::new(),
+        }
     }
 
     /// Number of functions (nodes).
@@ -73,13 +101,25 @@ impl CallGraph {
     /// The function name at `index`.
     #[must_use]
     pub fn name(&self, index: usize) -> &str {
-        &self.names[index]
+        self.names[index].as_str()
     }
 
-    /// The node index of `name`.
+    /// The interned function name at `index`.
+    #[must_use]
+    pub fn sym(&self, index: usize) -> Sym {
+        self.names[index]
+    }
+
+    /// The node index of `name`. Never grows the intern table.
     #[must_use]
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        self.index_of_sym(Sym::lookup(name)?)
+    }
+
+    /// The node index of the interned `name`.
+    #[must_use]
+    pub fn index_of_sym(&self, name: Sym) -> Option<usize> {
+        self.index.get(&name).copied()
     }
 
     /// Defined callees of node `i`.
@@ -94,17 +134,35 @@ impl CallGraph {
         &self.callers[i]
     }
 
-    /// Undefined (extern) callees of node `i`.
+    /// Undefined (extern) callees of node `i`, sorted by name.
     #[must_use]
     pub fn unknown_callees(&self, i: usize) -> &[String] {
+        let text = self.unknown_text.get_or_init(|| {
+            self.unknown
+                .iter()
+                .map(|names| names.iter().map(|n| n.as_str().to_owned()).collect())
+                .collect()
+        });
+        &text[i]
+    }
+
+    /// Undefined (extern) callees of node `i` as interned handles, sorted
+    /// by name.
+    #[must_use]
+    pub fn unknown_callee_syms(&self, i: usize) -> &[Sym] {
         &self.unknown[i]
     }
 
     /// Strongly connected components in *reverse topological order*
-    /// (callees before callers), computed with Tarjan's algorithm. Within
-    /// a component, node order is deterministic.
+    /// (callees before callers), computed with Tarjan's algorithm on the
+    /// first call and shared by every later one. Within a component, node
+    /// order is ascending.
     #[must_use]
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
+    pub fn sccs(&self) -> &[Vec<usize>] {
+        self.sccs.get_or_init(|| self.tarjan())
+    }
+
+    fn tarjan(&self) -> Vec<Vec<usize>> {
         // Iterative Tarjan.
         #[derive(Clone, Copy)]
         struct NodeData {
@@ -176,7 +234,7 @@ impl CallGraph {
     /// with recursion broken by SCC-internal index order.
     #[must_use]
     pub fn reverse_topological_order(&self) -> Vec<usize> {
-        self.sccs().into_iter().flatten().collect()
+        self.sccs().iter().flatten().copied().collect()
     }
 
     /// The SCC condensation of the call graph: one node per strongly
@@ -190,7 +248,7 @@ impl CallGraph {
     /// `callee_comps` has been summarized.
     #[must_use]
     pub fn condensation(&self) -> Condensation {
-        let members = self.sccs();
+        let members = self.sccs().to_vec();
         let mut comp_of = vec![0usize; self.len()];
         for (c, comp) in members.iter().enumerate() {
             for &v in comp {
@@ -232,7 +290,6 @@ impl CallGraph {
                 comp_of[v] = c;
             }
         }
-        //
 
         // sccs are in reverse topological order, so callee components have
         // smaller indices; one pass suffices.

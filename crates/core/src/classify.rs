@@ -14,7 +14,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rid_ir::Program;
+use rid_ir::{Program, Sym};
 use serde::{Deserialize, Serialize};
 
 use crate::callgraph::CallGraph;
@@ -43,9 +43,33 @@ impl Category {
 }
 
 /// The classification of every function in a program.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Keyed by interned handle; persisted as the `String`-keyed map it
+/// replaces, byte for byte.
+#[derive(Clone, Debug, Default)]
 pub struct Classification {
+    map: HashMap<Sym, Category>,
+}
+
+/// The persisted shape of a [`Classification`]: the same map keyed by
+/// text (serialized in name order).
+#[derive(Serialize, Deserialize)]
+struct ClassificationText {
     map: HashMap<String, Category>,
+}
+
+impl Serialize for Classification {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let map = self.map.iter().map(|(name, &c)| (name.as_str().to_owned(), c)).collect();
+        ClassificationText { map }.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Classification {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let text = ClassificationText::deserialize(deserializer)?;
+        Ok(Classification { map: text.map.iter().map(|(name, &c)| (Sym::new(name), c)).collect() })
+    }
 }
 
 /// Census counts per category (Table 1 of the paper).
@@ -73,7 +97,14 @@ impl Classification {
     /// The category of `func` ([`Category::Other`] when unknown).
     #[must_use]
     pub fn category(&self, func: &str) -> Category {
-        self.map.get(func).copied().unwrap_or(Category::Other)
+        Sym::lookup(func).map_or(Category::Other, |sym| self.category_sym(sym))
+    }
+
+    /// The category of the interned `func` ([`Category::Other`] when
+    /// unknown).
+    #[must_use]
+    pub fn category_sym(&self, func: Sym) -> Category {
+        self.map.get(&func).copied().unwrap_or(Category::Other)
     }
 
     /// Census counts for Table 1.
@@ -103,89 +134,66 @@ pub const MAX_CATEGORY2_BRANCHES: usize = 3;
 
 /// Classifies every function of `program` (§5.2's two phases).
 ///
-/// `predefined` supplies the refcount APIs that seed phase 1 (their
-/// summaries change refcounts).
+/// `graph` must be the call graph of `program`; its SCCs (computed once
+/// per graph) give phase 1 its callee-first order. `predefined` supplies
+/// the refcount APIs that seed phase 1 (their summaries change
+/// refcounts).
 #[must_use]
 pub fn classify(program: &Program, graph: &CallGraph, predefined: &SummaryDb) -> Classification {
-    let api_changes: HashSet<&str> = predefined.refcount_changing_names().collect();
+    let api_changes: HashSet<Sym> = predefined.refcount_changing_syms().collect();
+    let body = |i: usize| program.function_sym(graph.sym(i)).expect("graph nodes are defined");
 
     // Phase 1: reverse-topological closure of "calls something that
     // changes refcounts".
-    let mut refcount_changing: HashSet<usize> = HashSet::new();
-    for i in graph.reverse_topological_order() {
-        let via_api = graph.unknown_callees(i).iter().any(|c| api_changes.contains(c.as_str()));
+    let mut refcount_changing = vec![false; graph.len()];
+    for &i in graph.sccs().iter().flatten() {
+        let via_api = graph.unknown_callee_syms(i).iter().any(|c| api_changes.contains(c));
         // A defined function with a predefined summary is also a seed
         // (predefined summaries shadow bodies, §5.1).
         let shadowed = predefined
-            .get(graph.name(i))
+            .get_sym(graph.sym(i))
             .is_some_and(crate::summary::Summary::changes_refcounts);
-        let via_calls = graph.callees(i).iter().any(|j| refcount_changing.contains(j));
-        if via_api || via_calls || shadowed {
-            refcount_changing.insert(i);
-        }
+        let via_calls = graph.callees(i).iter().any(|&j| refcount_changing[j]);
+        refcount_changing[i] = via_api || via_calls || shadowed;
     }
 
-    // Phase 2: walk callers (topological order — callers after callees is
-    // irrelevant here; we scan every function once) and mark non-category-1
-    // callees whose results land in the §5.2 slice.
-    let is_rc = |name: &str| -> bool {
-        api_changes.contains(name)
-            || graph.index_of(name).is_some_and(|i| refcount_changing.contains(&i))
+    // Phase 2: mark non-category-1 callees whose results land in the
+    // §5.2 slice of a related function. Only functions related to
+    // refcount behaviour propagate relevance: category-1 functions seed
+    // the worklist, and every function found category 2 is scanned in
+    // turn, which reaches the same fixpoint as rescanning until nothing
+    // changes.
+    let is_rc = |name: Sym| -> bool {
+        api_changes.contains(&name)
+            || graph.index_of_sym(name).is_some_and(|i| refcount_changing[i])
     };
-    let functions = program.functions();
-    let mut affecting: HashSet<usize> = HashSet::new();
-    for (i, func) in functions.iter().enumerate() {
-        debug_assert_eq!(graph.name(i), func.name());
-        // Only functions related to refcount behaviour propagate
-        // relevance: category-1 functions, and (transitively) category-2
-        // ones. Scanning category-1 functions finds the first layer;
-        // a fixpoint below extends through category-2 callers.
-        if !refcount_changing.contains(&i) {
-            continue;
-        }
-        for callee in sliced_callees(func, &is_rc) {
-            if let Some(j) = graph.index_of(&callee) {
-                if !refcount_changing.contains(&j) {
-                    affecting.insert(j);
+    let mut affecting = vec![false; graph.len()];
+    let mut worklist: Vec<usize> = (0..graph.len()).filter(|&i| refcount_changing[i]).collect();
+    while let Some(i) = worklist.pop() {
+        for callee in sliced_callees(body(i), &is_rc) {
+            if let Some(j) = graph.index_of_sym(callee) {
+                if !refcount_changing[j] && !affecting[j] {
+                    affecting[j] = true;
+                    worklist.push(j);
                 }
             }
         }
-    }
-    // Fixpoint: a function whose result affects a category-2 function's
-    // return value is itself category 2.
-    loop {
-        let mut added = Vec::new();
-        for &i in &affecting {
-            let func = functions[i];
-            for callee in sliced_callees(func, &is_rc) {
-                if let Some(j) = graph.index_of(&callee) {
-                    if !refcount_changing.contains(&j) && !affecting.contains(&j) {
-                        added.push(j);
-                    }
-                }
-            }
-        }
-        if added.is_empty() {
-            break;
-        }
-        affecting.extend(added);
     }
 
-    let mut map = HashMap::new();
-    for (i, func) in functions.iter().enumerate() {
-        let category = if refcount_changing.contains(&i) {
-            Category::RefcountChanging
-        } else if affecting.contains(&i) {
-            if func.conditional_branch_count() <= MAX_CATEGORY2_BRANCHES {
+    let map = (0..graph.len())
+        .map(|i| {
+            let category = if refcount_changing[i] {
+                Category::RefcountChanging
+            } else if !affecting[i] {
+                Category::Other
+            } else if body(i).conditional_branch_count() <= MAX_CATEGORY2_BRANCHES {
                 Category::AffectingAnalyzed
             } else {
                 Category::AffectingSkipped
-            }
-        } else {
-            Category::Other
-        };
-        map.insert(func.name().to_owned(), category);
-    }
+            };
+            (graph.sym(i), category)
+        })
+        .collect();
     Classification { map }
 }
 

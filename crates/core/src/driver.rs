@@ -40,7 +40,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rid_ir::{Function, Program};
+use rid_ir::{Function, Program, Sym};
 use rid_solver::SatOptions;
 use serde::{Deserialize, Serialize};
 
@@ -654,8 +654,10 @@ pub(crate) fn analyze_program_masked(
     mut cache: Option<&mut SummaryCache>,
     mask: Option<&CompMask>,
 ) -> AnalysisResult {
-    let graph = CallGraph::build(program);
+    // One sorted function list per analysis: the call graph's node `i`
+    // is `functions[i]`.
     let functions = program.functions();
+    let graph = CallGraph::from_functions(&functions);
 
     let classify_start = Instant::now();
     let classification = if options.selective {
@@ -665,14 +667,14 @@ pub(crate) fn analyze_program_masked(
     };
     let classify_time = classify_start.elapsed();
 
-    let should_analyze = |name: &str| -> bool {
-        if predefined.contains(name) {
+    let should_analyze = |name: Sym| -> bool {
+        if predefined.get_sym(name).is_some() {
             return false; // predefined summaries shadow bodies (§5.1)
         }
         if !options.selective {
             return true;
         }
-        classification.category(name).is_analyzed()
+        classification.category_sym(name).is_analyzed()
     };
 
     let analyze_start = Instant::now();
@@ -686,7 +688,7 @@ pub(crate) fn analyze_program_masked(
     let mut active: Vec<bool> = cond
         .members
         .iter()
-        .map(|members| members.iter().any(|&i| should_analyze(functions[i].name())))
+        .map(|members| members.iter().any(|&i| should_analyze(graph.sym(i))))
         .collect();
     if let Some(mask) = mask {
         debug_assert_eq!(mask.analyze.len(), n_comps);
@@ -716,10 +718,10 @@ pub(crate) fn analyze_program_masked(
     let process_comp = |c: usize, out: &mut WorkerOut| {
         for &i in &cond.members[c] {
                 let func = functions[i];
-                let name = func.name();
-                if !should_analyze(name) {
+                if !should_analyze(graph.sym(i)) {
                     continue;
                 }
+                let name = func.name();
                 if let (Some(cache), Some(key)) = (cache_ro, keys[i]) {
                     let probe = {
                         let mut span =
@@ -1076,15 +1078,16 @@ fn record_success(
 /// resolved call-graph edges plus unresolved externals. This is the
 /// "callee summaries used" line of `rid explain`.
 pub(crate) fn callee_names(graph: &CallGraph, i: usize) -> Vec<String> {
-    let mut names: Vec<String> = graph
+    let mut names: Vec<Sym> = graph
         .callees(i)
         .iter()
-        .map(|&j| graph.name(j).to_owned())
-        .chain(graph.unknown_callees(i).iter().cloned())
+        .map(|&j| graph.sym(j))
+        .chain(graph.unknown_callee_syms(i).iter().copied())
         .collect();
-    names.sort();
+    // `Sym` orders by text, so this is the sorted name list.
+    names.sort_unstable();
     names.dedup();
-    names
+    names.into_iter().map(|name| name.as_str().to_owned()).collect()
 }
 
 /// Convenience: analyze RIL sources directly.

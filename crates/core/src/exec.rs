@@ -230,7 +230,7 @@ impl<'a> SummaryView<'a> {
                 if let Some(s) = predefined.get_sym(name) {
                     return Some(s); // predefined shadows the definition
                 }
-                graph.index_of(&name).and_then(|i| slots[i].get())
+                graph.index_of_sym(name).and_then(|i| slots[i].get())
             }
         }
     }

@@ -176,7 +176,7 @@ pub fn modules_touching(modules: &[Module], api_names: &HashSet<&str>) -> (usize
     let graph = crate::callgraph::CallGraph::build(&program);
     let mut reaches: Vec<bool> = vec![false; graph.len()];
     for i in graph.reverse_topological_order() {
-        let direct = graph.unknown_callees(i).iter().any(|c| api_names.contains(c.as_str()))
+        let direct = graph.unknown_callee_syms(i).iter().any(|c| api_names.contains(c.as_str()))
             || api_names.contains(graph.name(i));
         let via = graph.callees(i).iter().any(|&j| reaches[j]);
         if direct || via {

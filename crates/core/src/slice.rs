@@ -24,7 +24,7 @@ use rid_ir::{Function, Inst, Operand, Rvalue, Sym, Terminator};
 #[must_use]
 pub fn slice_variables(
     func: &Function,
-    refcount_changing: &dyn Fn(&str) -> bool,
+    refcount_changing: &dyn Fn(Sym) -> bool,
 ) -> HashSet<Sym> {
     let mut slice: HashSet<Sym> = HashSet::new();
 
@@ -44,7 +44,7 @@ pub fn slice_variables(
             Inst::Assign { rvalue: Rvalue::Call { callee, args }, .. } => (callee, args),
             _ => continue,
         };
-        if refcount_changing(callee.as_str()) {
+        if refcount_changing(*callee) {
             calls_refcount_api = true;
             for arg in args {
                 if let Operand::Var(name) = arg {
@@ -93,7 +93,7 @@ pub fn slice_variables(
 #[must_use]
 pub fn slice_variables_precise(
     func: &Function,
-    refcount_changing: &dyn Fn(&str) -> bool,
+    refcount_changing: &dyn Fn(Sym) -> bool,
 ) -> HashSet<Sym> {
     let mut slice: HashSet<Sym> = HashSet::new();
 
@@ -115,7 +115,7 @@ pub fn slice_variables_precise(
             Inst::Assign { rvalue: Rvalue::Call { callee, args }, .. } => (callee, args),
             _ => continue,
         };
-        if refcount_changing(callee.as_str()) {
+        if refcount_changing(*callee) {
             for arg in args {
                 if let Operand::Var(name) = arg {
                     slice.insert(*name);
@@ -165,12 +165,12 @@ fn data_closure(func: &Function, mut slice: HashSet<Sym>) -> HashSet<Sym> {
 fn callees_with_results_in(
     func: &Function,
     slice: &HashSet<Sym>,
-    refcount_changing: &dyn Fn(&str) -> bool,
+    refcount_changing: &dyn Fn(Sym) -> bool,
 ) -> HashSet<Sym> {
     let mut out = HashSet::new();
     for (_, inst) in func.insts() {
         if let Inst::Assign { dst, rvalue: Rvalue::Call { callee, .. } } = inst {
-            if slice.contains(dst) && !refcount_changing(callee.as_str()) {
+            if slice.contains(dst) && !refcount_changing(*callee) {
                 out.insert(*callee);
             }
         }
@@ -183,7 +183,7 @@ fn callees_with_results_in(
 #[must_use]
 pub fn sliced_callees(
     func: &Function,
-    refcount_changing: &dyn Fn(&str) -> bool,
+    refcount_changing: &dyn Fn(Sym) -> bool,
 ) -> HashSet<Sym> {
     let slice = slice_variables(func, refcount_changing);
     callees_with_results_in(func, &slice, refcount_changing)
@@ -193,7 +193,7 @@ pub fn sliced_callees(
 #[must_use]
 pub fn sliced_callees_precise(
     func: &Function,
-    refcount_changing: &dyn Fn(&str) -> bool,
+    refcount_changing: &dyn Fn(Sym) -> bool,
 ) -> HashSet<Sym> {
     let slice = slice_variables_precise(func, refcount_changing);
     callees_with_results_in(func, &slice, refcount_changing)
@@ -208,7 +208,7 @@ mod tests {
         parse_module(src).unwrap().function(name).unwrap().clone()
     }
 
-    fn is_api(name: &str) -> bool {
+    fn is_api(name: Sym) -> bool {
         name.starts_with("pm_runtime")
     }
 

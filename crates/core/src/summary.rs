@@ -299,7 +299,12 @@ impl SummaryDb {
     /// Names of functions whose summaries change refcounts — the seed set
     /// for classification phase 1 (§5.2).
     pub fn refcount_changing_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.map.values().filter(|s| s.changes_refcounts()).map(|s| s.func.as_str())
+        self.refcount_changing_syms().map(Sym::as_str)
+    }
+
+    /// [`SummaryDb::refcount_changing_names`] as interned handles.
+    pub fn refcount_changing_syms(&self) -> impl Iterator<Item = Sym> + '_ {
+        self.map.values().filter(|s| s.changes_refcounts()).map(|s| s.func)
     }
 }
 

@@ -1,6 +1,8 @@
-//! Abstract syntax tree of RIL.
+//! Abstract syntax tree of RIL. Every name is an interned [`Sym`]: the
+//! lexer interns each identifier once, and the parser and lowering only
+//! copy handles.
 
-use rid_ir::Pred;
+use rid_ir::{Pred, Sym};
 
 use crate::error::Span;
 
@@ -8,7 +10,7 @@ use crate::error::Span;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AstModule {
     /// Module name from the `module` header.
-    pub name: String,
+    pub name: Sym,
     /// Top-level items in source order.
     pub items: Vec<Item>,
 }
@@ -20,7 +22,7 @@ pub enum Item {
     /// predefined summary).
     Extern {
         /// Declared name.
-        name: String,
+        name: Sym,
     },
     /// A function definition.
     Func(AstFunc),
@@ -30,9 +32,9 @@ pub enum Item {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AstFunc {
     /// Function name.
-    pub name: String,
+    pub name: Sym,
     /// Formal parameter names.
-    pub params: Vec<String>,
+    pub params: Vec<Sym>,
     /// Weak linkage (`weak fn …`, see §5.3 of the paper).
     pub weak: bool,
     /// Body statements.
@@ -47,7 +49,7 @@ pub enum Stmt {
     /// `let name = expr;` (also plain `name = expr;`).
     Assign {
         /// Destination variable.
-        name: String,
+        name: Sym,
         /// Right-hand side.
         expr: Expr,
         /// Source position.
@@ -56,9 +58,9 @@ pub enum Stmt {
     /// `base.f1.f2 = value;`
     FieldStore {
         /// Base variable.
-        base: String,
+        base: Sym,
         /// Field chain (at least one element).
-        fields: Vec<String>,
+        fields: Vec<Sym>,
         /// Stored value.
         value: Expr,
         /// Source position.
@@ -94,14 +96,14 @@ pub enum Stmt {
     /// `goto label;`
     Goto {
         /// Target label.
-        label: String,
+        label: Sym,
         /// Source position.
         span: Span,
     },
     /// `label:` — only allowed in the function's outermost block.
     Label {
         /// Label name.
-        name: String,
+        name: Sym,
         /// Source position.
         span: Span,
     },
@@ -151,20 +153,20 @@ pub enum Expr {
     /// The null pointer literal.
     Null,
     /// Variable reference.
-    Var(String),
+    Var(Sym),
     /// `base.field`.
     Field {
         /// Base expression (must bottom out in a variable).
         base: Box<Expr>,
         /// Field name.
-        field: String,
+        field: Sym,
     },
     /// `random` — a non-deterministic value.
     Random,
     /// `callee(args…)`.
     Call {
         /// Called function name.
-        callee: String,
+        callee: Sym,
         /// Actual arguments.
         args: Vec<Expr>,
     },
@@ -179,7 +181,7 @@ pub enum Expr {
     },
     /// `@name` — a reference to a function, passed to callback
     /// registration APIs.
-    FuncRef(String),
+    FuncRef(Sym),
 }
 
 /// A branch condition.

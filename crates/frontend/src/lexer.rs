@@ -2,10 +2,12 @@
 
 use std::fmt;
 
+use rid_ir::Sym;
+
 use crate::error::{FrontendError, Span};
 
 /// A lexical token kind.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tok {
     // Keywords
     Module,
@@ -23,8 +25,9 @@ pub enum Tok {
     True,
     False,
     Null,
-    // Literals and identifiers
-    Ident(String),
+    // Literals and identifiers. Identifiers are interned as they are
+    // lexed, so every later stage copies a 4-byte handle, not the text.
+    Ident(Sym),
     Int(i64),
     // Punctuation
     LParen,
@@ -69,7 +72,7 @@ impl fmt::Display for Tok {
             Tok::True => "true",
             Tok::False => "false",
             Tok::Null => "null",
-            Tok::Ident(name) => return f.write_str(name),
+            Tok::Ident(name) => return f.write_str(name.as_str()),
             Tok::Int(v) => return write!(f, "{v}"),
             Tok::LParen => "(",
             Tok::RParen => ")",
@@ -96,7 +99,7 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Token {
     /// The token kind and payload.
     pub tok: Tok,
@@ -108,7 +111,9 @@ struct Cursor<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
+    /// Offset of the current line's first byte; a column is the 1-based
+    /// byte offset from it, so only newlines cost bookkeeping.
+    line_start: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -125,15 +130,20 @@ impl<'a> Cursor<'a> {
         self.pos += 1;
         if b == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.pos;
         }
         Some(b)
     }
 
+    /// Advances past the bytes `accept` takes; `accept` must reject `\n`.
+    fn skip_while(&mut self, accept: impl Fn(u8) -> bool) {
+        while self.src.get(self.pos).is_some_and(|&b| accept(b)) {
+            self.pos += 1;
+        }
+    }
+
     fn span(&self) -> Span {
-        Span::new(self.line, self.col)
+        Span::new(self.line, (self.pos - self.line_start + 1) as u32)
     }
 }
 
@@ -165,7 +175,7 @@ fn keyword(word: &str) -> Option<Tok> {
 /// Returns a positioned [`FrontendError`] on unknown characters, malformed
 /// numbers, or unterminated block comments.
 pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
-    let mut cur = Cursor { src: source.as_bytes(), pos: 0, line: 1, col: 1 };
+    let mut cur = Cursor { src: source.as_bytes(), pos: 0, line: 1, line_start: 0 };
     let mut tokens = Vec::new();
     loop {
         // Skip whitespace and comments.
@@ -175,12 +185,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
                     cur.bump();
                 }
                 Some(b'/') if cur.peek2() == Some(b'/') => {
-                    while let Some(b) = cur.peek() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        cur.bump();
-                    }
+                    cur.skip_while(|b| b != b'\n');
                 }
                 Some(b'/') if cur.peek2() == Some(b'*') => {
                     let start = cur.span();
@@ -343,15 +348,10 @@ pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = cur.pos;
-                while let Some(c) = cur.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'_' {
-                        cur.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let word = std::str::from_utf8(&cur.src[start..cur.pos]).expect("ascii");
-                keyword(word).unwrap_or_else(|| Tok::Ident(word.to_owned()))
+                cur.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+                // ASCII bytes only, so both ends are char boundaries.
+                let word = &source[start..cur.pos];
+                keyword(word).unwrap_or_else(|| Tok::Ident(Sym::new(word)))
             }
             other => {
                 return Err(FrontendError::at(
@@ -377,7 +377,7 @@ mod tests {
     fn keywords_and_idents() {
         assert_eq!(
             toks("module fn let devname"),
-            vec![Tok::Module, Tok::Fn, Tok::Let, Tok::Ident("devname".into())]
+            vec![Tok::Module, Tok::Fn, Tok::Let, Tok::Ident(Sym::new("devname"))]
         );
         // `assert` is an alias for `assume`; `NULL` for `null`.
         assert_eq!(toks("assert NULL"), vec![Tok::Assume, Tok::Null]);
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let src = "a // line comment\n /* block\ncomment */ b";
-        assert_eq!(toks(src), vec![Tok::Ident("a".into()), Tok::Ident("b".into())]);
+        assert_eq!(toks(src), vec![Tok::Ident(Sym::new("a")), Tok::Ident(Sym::new("b"))]);
     }
 
     #[test]
@@ -421,7 +421,7 @@ mod tests {
             Tok::AndAnd,
             Tok::OrOr,
             Tok::At,
-            Tok::Ident("h".into()),
+            Tok::Ident(Sym::new("h")),
         ]);
         assert!(lex("&").is_err());
         assert!(lex("| x").is_err());
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn display_of_tokens() {
         assert_eq!(Tok::Le.to_string(), "<=");
-        assert_eq!(Tok::Ident("x".into()).to_string(), "x");
+        assert_eq!(Tok::Ident(Sym::new("x")).to_string(), "x");
         assert_eq!(Tok::Int(-3).to_string(), "-3");
     }
 }

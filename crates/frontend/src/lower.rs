@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use rid_ir::{BlockId, FunctionBuilder, Module, Operand, Pred, Rvalue};
+use rid_ir::{BlockId, FunctionBuilder, Module, Operand, Pred, Rvalue, Sym};
 
 use crate::ast::{AstFunc, AstModule, Cond, Expr, Item, Stmt};
 use crate::error::{FrontendError, Span};
@@ -15,10 +15,10 @@ use crate::error::{FrontendError, Span};
 /// labels, `goto` to an unknown label, field access on constants, or IR
 /// validation failures.
 pub fn lower_module(ast: &AstModule) -> Result<Module, FrontendError> {
-    let mut module = Module::new(ast.name.clone());
+    let mut module = Module::new(ast.name);
     for item in &ast.items {
         match item {
-            Item::Extern { name } => module.push_extern(name.clone()),
+            Item::Extern { name } => module.push_extern(*name),
             Item::Func(func) => module.push_function(lower_function(func)?),
         }
     }
@@ -27,12 +27,12 @@ pub fn lower_module(ast: &AstModule) -> Result<Module, FrontendError> {
 
 struct Lowerer {
     builder: FunctionBuilder,
-    labels: HashMap<String, BlockId>,
+    labels: HashMap<Sym, BlockId>,
     next_temp: u32,
 }
 
 fn lower_function(ast: &AstFunc) -> Result<rid_ir::Function, FrontendError> {
-    let mut builder = FunctionBuilder::new(ast.name.clone(), ast.params.iter().cloned());
+    let mut builder = FunctionBuilder::new(ast.name, ast.params.iter().copied());
     builder.set_weak(ast.weak);
 
     // Pre-scan the outermost block for labels so forward `goto`s resolve.
@@ -40,7 +40,7 @@ fn lower_function(ast: &AstFunc) -> Result<rid_ir::Function, FrontendError> {
     for stmt in &ast.body {
         if let Stmt::Label { name, span } = stmt {
             let block = builder.new_block();
-            if labels.insert(name.clone(), block).is_some() {
+            if labels.insert(*name, block).is_some() {
                 return Err(FrontendError::at(*span, format!("duplicate label `{name}`")));
             }
         }
@@ -58,8 +58,8 @@ fn lower_function(ast: &AstFunc) -> Result<rid_ir::Function, FrontendError> {
 }
 
 impl Lowerer {
-    fn temp(&mut self) -> String {
-        let name = format!("%t{}", self.next_temp);
+    fn temp(&mut self) -> Sym {
+        let name = Sym::new(&format!("%t{}", self.next_temp));
         self.next_temp += 1;
         name
     }
@@ -105,26 +105,26 @@ impl Lowerer {
             Stmt::Assign { name, expr, span } => {
                 self.ensure_open();
                 let rvalue = self.rvalue(expr, *span)?;
-                self.builder.assign(name.clone(), rvalue);
+                self.builder.assign(*name, rvalue);
             }
             Stmt::FieldStore { base, fields, value, span } => {
                 self.ensure_open();
                 let (last, init) = fields.split_last().expect("parser guarantees ≥1 field");
-                let mut base_var = base.clone();
+                let mut base_var = *base;
                 for field in init {
                     let t = self.temp();
-                    self.builder.assign(t.clone(), Rvalue::field(base_var, field.clone()));
+                    self.builder.assign(t, Rvalue::field(base_var, *field));
                     base_var = t;
                 }
                 let value = self.operand(value, *span)?;
-                self.builder.field_store(base_var, last.clone(), value);
+                self.builder.field_store(base_var, *last, value);
             }
             Stmt::ExprStmt { expr, span } => {
                 self.ensure_open();
                 match expr {
                     Expr::Call { callee, args } => {
                         let args = self.operands(args, *span)?;
-                        self.builder.call(callee.clone(), args);
+                        self.builder.call(*callee, args);
                     }
                     _ => {
                         return Err(FrontendError::at(
@@ -226,7 +226,7 @@ impl Lowerer {
                 let lhs = self.operand(lhs, span)?;
                 let rhs = self.operand(rhs, span)?;
                 let t = self.temp();
-                self.builder.assign(t.clone(), Rvalue::Cmp { pred, lhs, rhs });
+                self.builder.assign(t, Rvalue::Cmp { pred, lhs, rhs });
                 self.builder.branch(t, then_bb, else_bb);
                 Ok(())
             }
@@ -234,8 +234,7 @@ impl Lowerer {
                 let pred = if negate { Pred::Eq } else { Pred::Ne };
                 let op = self.operand(expr, span)?;
                 let t = self.temp();
-                self.builder
-                    .assign(t.clone(), Rvalue::Cmp { pred, lhs: op, rhs: Operand::Int(0) });
+                self.builder.assign(t, Rvalue::Cmp { pred, lhs: op, rhs: Operand::Int(0) });
                 self.builder.branch(t, then_bb, else_bb);
                 Ok(())
             }
@@ -283,17 +282,17 @@ impl Lowerer {
             Expr::Random => Rvalue::Random,
             Expr::Field { base, field } => {
                 let base_var = self.base_var(base, span)?;
-                Rvalue::field(base_var, field.clone())
+                Rvalue::field(base_var, *field)
             }
             Expr::Call { callee, args } => {
-                Rvalue::Call { callee: callee.as_str().into(), args: self.operands(args, span)? }
+                Rvalue::Call { callee: *callee, args: self.operands(args, span)? }
             }
             Expr::Cmp { pred, lhs, rhs } => Rvalue::Cmp {
                 pred: *pred,
                 lhs: self.operand(lhs, span)?,
                 rhs: self.operand(rhs, span)?,
             },
-            Expr::FuncRef(name) => Rvalue::Use(Operand::FuncRef(name.as_str().into())),
+            Expr::FuncRef(name) => Rvalue::Use(Operand::FuncRef(*name)),
         })
     }
 
@@ -303,13 +302,13 @@ impl Lowerer {
             Expr::Int(v) => Operand::Int(*v),
             Expr::Bool(b) => Operand::Bool(*b),
             Expr::Null => Operand::Null,
-            Expr::Var(name) => Operand::var(name.clone()),
-            Expr::FuncRef(name) => Operand::FuncRef(name.as_str().into()),
+            Expr::Var(name) => Operand::Var(*name),
+            Expr::FuncRef(name) => Operand::FuncRef(*name),
             Expr::Random | Expr::Field { .. } | Expr::Call { .. } | Expr::Cmp { .. } => {
                 let rvalue = self.rvalue(expr, span)?;
                 let t = self.temp();
-                self.builder.assign(t.clone(), rvalue);
-                Operand::var(t)
+                self.builder.assign(t, rvalue);
+                Operand::Var(t)
             }
         })
     }
@@ -319,7 +318,7 @@ impl Lowerer {
     }
 
     /// Lowers the base of a field access to a variable name.
-    fn base_var(&mut self, base: &Expr, span: Span) -> Result<rid_ir::Sym, FrontendError> {
+    fn base_var(&mut self, base: &Expr, span: Span) -> Result<Sym, FrontendError> {
         match self.operand(base, span)? {
             Operand::Var(name) => Ok(name),
             _ => Err(FrontendError::at(span, "field access on a constant")),

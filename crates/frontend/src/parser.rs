@@ -1,6 +1,6 @@
 //! Recursive-descent parser for RIL.
 
-use rid_ir::Pred;
+use rid_ir::{Pred, Sym};
 
 use crate::ast::{AstFunc, AstModule, Cond, Expr, Item, Stmt};
 use crate::error::{FrontendError, Span};
@@ -53,11 +53,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_ident(&mut self, what: &str) -> Result<String, FrontendError> {
+    fn eat_ident(&mut self, what: &str) -> Result<Sym, FrontendError> {
         let span = self.span();
         match self.peek() {
-            Some(Tok::Ident(name)) => {
-                let name = name.clone();
+            Some(&Tok::Ident(name)) => {
                 self.pos += 1;
                 Ok(name)
             }
@@ -343,7 +342,7 @@ impl<'a> Parser<'a> {
 
     fn primary(&mut self) -> Result<Expr, FrontendError> {
         let span = self.span();
-        match self.peek().cloned() {
+        match self.peek().copied() {
             Some(Tok::Int(v)) => {
                 self.bump();
                 Ok(Expr::Int(v))
@@ -390,7 +389,7 @@ impl<'a> Parser<'a> {
 
     /// Parses the argument list of a call whose callee name has already
     /// been consumed.
-    fn call_tail(&mut self, callee: String) -> Result<Expr, FrontendError> {
+    fn call_tail(&mut self, callee: Sym) -> Result<Expr, FrontendError> {
         self.eat(&Tok::LParen)?;
         let mut args = Vec::new();
         while self.peek() != Some(&Tok::RParen) {

@@ -5,7 +5,7 @@
 #![cfg(test)]
 
 use proptest::prelude::*;
-use rid_ir::Pred;
+use rid_ir::{Pred, Sym};
 
 use crate::ast::{AstFunc, AstModule, Cond, Expr, Item, Stmt};
 use crate::error::Span;
@@ -176,7 +176,8 @@ fn render_module(module: &AstModule) -> String {
                 if f.weak {
                     out.push_str("weak ");
                 }
-                out.push_str(&format!("fn {}({}) {{\n", f.name, f.params.join(", ")));
+                let params: Vec<&str> = f.params.iter().map(|p| p.as_str()).collect();
+                out.push_str(&format!("fn {}({}) {{\n", f.name, params.join(", ")));
                 for s in &f.body {
                     render_stmt(s, &mut out);
                 }
@@ -223,15 +224,15 @@ fn strip_module(module: &mut AstModule) {
 
 // ------------------------------------------------------------- strategies
 
-fn ident() -> impl Strategy<Value = String> {
+fn ident() -> impl Strategy<Value = Sym> {
     // Avoid keywords; identifiers from a small pool keep shrinking useful.
     prop_oneof![
-        Just("alpha".to_owned()),
-        Just("beta".to_owned()),
-        Just("dev".to_owned()),
-        Just("status2".to_owned()),
-        Just("intf_x".to_owned()),
-        Just("v_".to_owned()),
+        Just(Sym::new("alpha")),
+        Just(Sym::new("beta")),
+        Just(Sym::new("dev")),
+        Just(Sym::new("status2")),
+        Just(Sym::new("intf_x")),
+        Just(Sym::new("v_")),
     ]
 }
 

@@ -17,6 +17,11 @@
 //!   trade for an analyzer whose name vocabulary is bounded by its input
 //!   corpus (and whose daemon form wants names immortal anyway, so
 //!   resident summaries, caches, and reports can share them).
+//! * **Resolution takes no lock.** The text → id map sits behind a
+//!   `RwLock`, but [`Sym::as_str`] reads a separate append-only id → text
+//!   table of `OnceLock` slots. A handle exists only after its slot is set
+//!   under the insert lock, so resolving one never waits, even while
+//!   other threads intern.
 //! * **Ordering is *string* ordering.** `Ord` compares resolved text, not
 //!   handle ids. Every deterministic order in the pipeline (sorted
 //!   function lists, `BTreeMap`-backed summary databases, report
@@ -34,19 +39,41 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
-/// The interner: text → id map plus id → text table. One global instance
-/// behind a [`RwLock`]; reads (the common case — resolve and lookup) take
-/// the shared lock, first-time interning takes the exclusive lock.
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    table: Vec<&'static str>,
+/// The text → id map. First-time interning takes the write lock;
+/// [`Sym::lookup`] and the fast path of [`Sym::new`] take the read lock.
+/// Resolving a handle never touches it (see [`SEGMENTS`]).
+fn interner() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static INTERNER: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    INTERNER.get_or_init(|| RwLock::new(HashMap::with_capacity(1024)))
 }
 
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner { map: HashMap::with_capacity(1024), table: Vec::with_capacity(1024) })
-    })
+/// One resolve-table slot: the text of one id, set exactly once.
+type Slot = OnceLock<&'static str>;
+
+/// log2 of the first segment's slot count.
+const SEG_BASE_BITS: u32 = 10;
+
+/// Segments needed to address every `u32` id (segment `k` holds
+/// `2^(SEG_BASE_BITS + k)` slots).
+const SEG_COUNT: usize = (u32::BITS - SEG_BASE_BITS + 1) as usize;
+
+/// The id → text resolve table: append-only segments of doubling size,
+/// allocated on first use. A segment never moves once allocated, so the
+/// table grows without copying or blocking readers ([`Sym::new`] holds
+/// the publication rule).
+static SEGMENTS: [OnceLock<Box<[Slot]>>; SEG_COUNT] = [const { OnceLock::new() }; SEG_COUNT];
+
+/// The `(segment, offset)` of `id`: ids `[2^B·(2^k − 1), 2^B·(2^(k+1) − 1))`
+/// live in segment `k`, with `B = SEG_BASE_BITS`.
+fn locate(id: u32) -> (usize, usize) {
+    let shifted = u64::from(id) + (1 << SEG_BASE_BITS);
+    let top = u64::BITS - 1 - shifted.leading_zeros();
+    ((top - SEG_BASE_BITS) as usize, (shifted - (1 << top)) as usize)
+}
+
+/// Number of slots in segment `seg`.
+fn segment_len(seg: usize) -> usize {
+    1 << (SEG_BASE_BITS as usize + seg)
 }
 
 /// An interned string handle: 4 bytes, `Copy`, O(1) equality.
@@ -62,20 +89,22 @@ impl Sym {
     /// to equal handles for the lifetime of the process.
     #[must_use]
     pub fn new(text: &str) -> Sym {
-        {
-            let guard = interner().read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(&id) = guard.map.get(text) {
-                return Sym(id);
-            }
+        if let Some(sym) = Sym::lookup(text) {
+            return sym;
         }
-        let mut guard = interner().write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(&id) = guard.map.get(text) {
+        let mut map = interner().write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(&id) = map.get(text) {
             return Sym(id);
         }
-        let id = u32::try_from(guard.table.len()).expect("interner overflow (> 4G names)");
+        let id = u32::try_from(map.len()).expect("interner overflow (> 4G names)");
         let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        guard.table.push(leaked);
-        guard.map.insert(leaked, id);
+        // Publication rule: the slot is set before the id reaches the
+        // map or the caller, so no handle can outrun its text.
+        let (seg, offset) = locate(id);
+        let segment =
+            SEGMENTS[seg].get_or_init(|| (0..segment_len(seg)).map(|_| Slot::new()).collect());
+        segment[offset].set(leaked).expect("each id is handed out once");
+        map.insert(leaked, id);
         Sym(id)
     }
 
@@ -85,17 +114,21 @@ impl Sym {
     /// the table.
     #[must_use]
     pub fn lookup(text: &str) -> Option<Sym> {
-        let guard = interner().read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.map.get(text).map(|&id| Sym(id))
+        let map = interner().read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        map.get(text).map(|&id| Sym(id))
     }
 
-    /// Resolves the handle to its text. O(1): a shared-lock table read.
-    /// The returned reference is `'static` — interned strings are never
-    /// freed.
+    /// Resolves the handle to its text. O(1) and lock-free: two
+    /// `OnceLock` reads in the resolve table. The returned reference is
+    /// `'static` — interned strings are never freed.
     #[must_use]
     pub fn as_str(self) -> &'static str {
-        let guard = interner().read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.table[self.0 as usize]
+        let (seg, offset) = locate(self.0);
+        SEGMENTS[seg]
+            .get()
+            .and_then(|segment| segment[offset].get())
+            .copied()
+            .expect("a Sym exists only after its slot is set")
     }
 
     /// The raw handle id. Only meaningful within this process; never
@@ -114,7 +147,7 @@ impl Sym {
     /// Number of distinct interned strings in the process-global table.
     #[must_use]
     pub fn interned_count() -> usize {
-        interner().read().unwrap_or_else(std::sync::PoisonError::into_inner).table.len()
+        interner().read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
     }
 
     /// Total bytes of interned string text (excluding table overhead),
@@ -124,9 +157,19 @@ impl Sym {
         interner()
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .table
-            .iter()
+            .keys()
             .map(|s| s.len())
+            .sum()
+    }
+
+    /// Heap bytes of the id → text resolve table as allocated: every
+    /// segment in use, its unfilled slots included.
+    #[must_use]
+    pub fn resolve_table_bytes() -> usize {
+        SEGMENTS
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|segment| std::mem::size_of_val(&**segment))
             .sum()
     }
 }
@@ -278,15 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_never_inserts() {
-        let before = Sym::interned_count();
-        assert!(Sym::lookup("surely-never-interned-a8f3e1").is_none());
-        assert_eq!(Sym::interned_count(), before);
-        let s = Sym::new("lookup-roundtrip-x1");
-        assert_eq!(Sym::lookup("lookup-roundtrip-x1"), Some(s));
-    }
-
-    #[test]
     fn ordering_is_string_ordering() {
         // Intern in reverse lexicographic order: ids ascend but string
         // order must win.
@@ -318,5 +352,37 @@ mod tests {
         let back: Sym =
             serde::__private::from_value_err::<Sym, serde::SimpleError>(v).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// First id of segment `seg`.
+    fn segment_start(seg: usize) -> u64 {
+        (1u64 << (SEG_BASE_BITS as usize + seg)) - (1 << SEG_BASE_BITS)
+    }
+
+    #[test]
+    fn segment_arithmetic_at_boundaries() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(1023), (0, 1023));
+        assert_eq!(locate(1024), (1, 0));
+        assert_eq!(locate(3071), (1, 2047));
+        assert_eq!(locate(3072), (2, 0));
+        assert_eq!(locate(7167), (2, 4095));
+        assert_eq!(locate(7168), (3, 0));
+        assert_eq!(locate(u32::MAX), (SEG_COUNT - 1, (u32::MAX - 0xFFFF_FC00) as usize));
+        // Segments tile the id space: each ends where the next starts,
+        // and the last one covers `u32::MAX`.
+        for seg in 0..SEG_COUNT {
+            let start = segment_start(seg);
+            let end = start + segment_len(seg) as u64;
+            assert_eq!(end, segment_start(seg + 1));
+            if let Ok(first) = u32::try_from(start) {
+                assert_eq!(locate(first), (seg, 0));
+            }
+            if let Ok(last) = u32::try_from(end - 1) {
+                assert_eq!(locate(last), (seg, segment_len(seg) - 1));
+            }
+        }
+        assert!(segment_start(SEG_COUNT) > u64::from(u32::MAX));
+        assert!(segment_start(SEG_COUNT - 1) <= u64::from(u32::MAX));
     }
 }

@@ -102,7 +102,7 @@ pub struct MemoryFootprint {
     /// layout, including the intern table (counted once).
     pub resident_bytes: usize,
     /// Of `resident_bytes`: the process-global intern table (string
-    /// text plus per-entry table words).
+    /// text plus the resolve table's allocated segments).
     pub interner_bytes: usize,
     /// Name occurrences in the walked IR — each of these was an owned
     /// `String` in the old layout and is a 4-byte [`Sym`] now.
@@ -274,12 +274,12 @@ pub fn measure_program(program: &Program) -> MemoryFootprint {
         walk.old_heap += func.name().len();
     }
 
-    // The intern table: text bytes plus one `&'static str` table word
-    // pair per entry, counted once per process. Charging the *whole*
-    // table to this program over-counts when other IR is live, which
-    // again only understates the reduction.
-    let interner_bytes =
-        Sym::interned_bytes() + Sym::interned_count() * std::mem::size_of::<&str>();
+    // The intern table: text bytes plus the id → text resolve table as
+    // allocated (whole segments, unfilled slots included), counted once
+    // per process. Charging the *whole* table to this program
+    // over-counts when other IR is live, which again only understates
+    // the reduction.
+    let interner_bytes = Sym::interned_bytes() + Sym::resolve_table_bytes();
 
     MemoryFootprint {
         functions: program.function_count(),
@@ -375,5 +375,16 @@ mod tests {
         assert!(
             std::mem::size_of::<OldTerminator>() > std::mem::size_of::<Terminator>()
         );
+        // The intern-table charge must keep up with the real table: its
+        // text plus at least one resolve slot per name. (Counts only grow,
+        // so reading them around the measurement brackets it even while
+        // other tests intern.)
+        let slot = std::mem::size_of::<std::sync::OnceLock<&'static str>>();
+        let count = Sym::interned_count();
+        let floor = Sym::interned_bytes() + Sym::resolve_table_bytes();
+        let charged = measure_program(&Program::new()).interner_bytes;
+        let ceiling = Sym::interned_bytes() + Sym::resolve_table_bytes();
+        assert!(floor <= charged && charged <= ceiling, "{floor} <= {charged} <= {ceiling}");
+        assert!(Sym::resolve_table_bytes() >= count * slot);
     }
 }
