@@ -1,5 +1,5 @@
 //! Regenerates the **§6.5 performance** claim and persists a
-//! machine-readable baseline (schema `rid-bench-perf/v9`).
+//! machine-readable baseline (schema `rid-bench-perf/v10`).
 //!
 //! For each corpus scale the binary parses the seeded kernel corpus once,
 //! then runs the whole-program analysis `--iters` times per execution
@@ -26,21 +26,16 @@
 //! Since v6 the baseline additionally records a [`MemoryRecord`] (peak
 //! RSS plus the interned-IR footprint against its pre-interning
 //! string-layout model), a [`StoreRecord`] (RIDSS1 summary-container
-//! open/materialize wall-clock against the legacy eager serde parse),
-//! and — when built with `--features alloc-track` — per-phase
-//! allocation counts from a counting global allocator.
+//! open/materialize wall-clock), and — when built with
+//! `--features alloc-track` — per-phase allocation counts from a
+//! counting global allocator.
 //!
 //! Since v7 every sweep cell is **honest about the host**: a record
 //! whose worker count exceeds `host_cpus` carries
 //! `scaling_asserted: false`, telling the validator (and the reader)
 //! that no speedup claim is being made for it. The thread sweep also
 //! reports the scheduler's steal/idle telemetry (successful steals,
-//! scan misses, mean batch size, total parked nanoseconds), and a new
-//! **process sweep** measures `--processes`-style sharded runs through
-//! [`rid_core::analyze_processes`], recording per-cell wall-clock and
-//! whether the sharded reports matched the sequential reference
-//! (`identical_reports` — the determinism claim, re-checked at bench
-//! time).
+//! scan misses, mean batch size, total parked nanoseconds).
 //!
 //! Since v9 the baseline carries a [`RefuteRecord`]: the wall-clock
 //! cost of the second-stage refutation pass at the largest scale
@@ -50,6 +45,10 @@
 //! pass refutes and how many true positives it loses (the committed
 //! baseline is all-of-them and zero; CI enforces both against this
 //! record).
+//!
+//! v10 drops the multi-process sweep (the `--processes` mode is gone)
+//! and the store record's timing of the legacy JSON cache format, which
+//! nothing writes any more.
 
 use std::time::Instant;
 
@@ -219,25 +218,6 @@ struct ThreadRecord {
     idle_wait_ns: u64,
 }
 
-/// One cell of the multi-process sharding sweep (largest scale, `Auto`
-/// mode, 1 in-process worker per shard so the cell isolates the
-/// process-level scaling).
-#[derive(Serialize)]
-struct ProcessRecord {
-    processes: usize,
-    /// Coordinator analyze wall-clock — wavefront scheduling, worker
-    /// processes, store merges (seconds, min over iters).
-    analyze_s: f64,
-    /// `analyze_s(1 process) / analyze_s(this)`.
-    speedup_vs_1: f64,
-    /// `true` iff the host offers at least `processes` CPUs (see
-    /// [`ThreadRecord::scaling_asserted`]).
-    scaling_asserted: bool,
-    /// Whether this cell reproduced the sequential reference reports
-    /// exactly — the byte-identity claim, re-verified at bench time.
-    identical_reports: bool,
-}
-
 /// Counter triple of one cached run.
 #[derive(Serialize)]
 struct CacheCounters {
@@ -396,11 +376,10 @@ struct MemoryRecord {
     sym_text_bytes: usize,
 }
 
-/// Warm-restart cost of the RIDSS1 summary container against the
-/// legacy eager serde parse of the same cache (largest scale, min over
-/// iters). `store_open_s` is what a daemon restore or `--cache` warm
-/// start now pays up front — header + index verification only; entry
-/// payloads are read (and checksummed) on first use.
+/// Warm-restart cost of the RIDSS1 summary container (largest scale,
+/// min over iters). `store_open_s` is what a daemon restore or
+/// `--cache` warm start pays up front — header + index verification
+/// only; entry payloads are read (and checksummed) on first use.
 #[derive(Serialize)]
 struct StoreRecord {
     /// Summaries in the measured cache.
@@ -412,12 +391,6 @@ struct StoreRecord {
     /// Open + read and verify every entry (seconds, min over iters) —
     /// the worst case where the whole corpus misses.
     store_full_s: f64,
-    /// Eager parse of the legacy single-document JSON encoding of the
-    /// same cache (seconds, min over iters) — what every v5 warm load
-    /// paid regardless of how many entries the run would touch.
-    serde_load_s: f64,
-    /// `serde_load_s / store_open_s` (CI asserts > 1).
-    open_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -432,8 +405,6 @@ struct PerfBaseline {
     scales: Vec<ScaleRecord>,
     /// Work-stealing scheduler scaling at the largest measured scale.
     thread_sweep: Vec<ThreadRecord>,
-    /// Multi-process sharded-analysis scaling at the largest scale.
-    process_sweep: Vec<ProcessRecord>,
     /// Persistent-cache cold/warm pair at the largest measured scale.
     cache: CacheRecord,
     /// Disabled-vs-enabled tracing cost at the largest measured scale.
@@ -564,42 +535,6 @@ fn measure_thread_cell(
         steal_batch_mean: if steals > 0 { batch_sum as f64 / steals as f64 } else { 0.0 },
         idle_wait_ns,
     }
-}
-
-/// The multi-process sharding sweep: coordinator wall-clock per process
-/// count, plus a determinism re-check of every cell's reports against
-/// the in-process sequential reference.
-fn measure_processes(
-    sources: &[String],
-    iters: usize,
-    host_cpus: usize,
-    reference: &AnalysisResult,
-) -> Vec<ProcessRecord> {
-    let apis = rid_core::apis::linux_dpm_apis();
-    let options = AnalysisOptions::default();
-    let faults = FaultPlan::none();
-    let mut sweep = Vec::new();
-    let mut base = None;
-    for processes in [1usize, 2, 4] {
-        let mut analyze_s = f64::INFINITY;
-        let mut identical_reports = true;
-        for _ in 0..iters.max(1) {
-            let result =
-                rid_core::analyze_processes(sources, &apis, &options, &faults, processes, None)
-                    .expect("sharded analysis runs");
-            analyze_s = analyze_s.min(result.stats.analyze_time.as_secs_f64());
-            identical_reports &= result.reports == reference.reports;
-        }
-        let base = *base.get_or_insert(analyze_s);
-        sweep.push(ProcessRecord {
-            processes,
-            analyze_s,
-            speedup_vs_1: base / analyze_s.max(1e-9),
-            scaling_asserted: processes <= host_cpus,
-            identical_reports,
-        });
-    }
-    sweep
 }
 
 /// Disabled-vs-enabled tracing measurement, interleaved round-robin for
@@ -794,8 +729,7 @@ fn measure_memory(program: &rid_ir::Program) -> MemoryRecord {
 
 /// Summary-container warm-load measurement (see [`StoreRecord`]):
 /// populates one cache, persists it as a RIDSS1 container, then times
-/// index-only opens, full materializations, and eager parses of the
-/// legacy JSON encoding of the same data.
+/// index-only opens and full materializations.
 fn measure_store(
     program: &rid_ir::Program,
     iters: usize,
@@ -815,23 +749,14 @@ fn measure_store(
     });
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
-    // The v5 on-disk format was this exact single JSON document, parsed
-    // eagerly on every warm start (`SummaryCache`'s serde impls keep
-    // that encoding alive for snapshots and tests).
-    let legacy_json = serde_json::to_string(&cache).expect("cache serializes");
-
-    // One tracked pass of each load flavor for the allocation record,
-    // then untracked timing iterations.
+    // One tracked open for the allocation record, then untracked timing
+    // iterations.
     track_phase(phases, "store_open", || {
         rid_core::persist::load_cache(&path).expect("container opens");
-    });
-    track_phase(phases, "serde_load", || {
-        serde_json::from_str::<SummaryCache>(&legacy_json).expect("legacy JSON parses");
     });
 
     let mut store_open_s = f64::INFINITY;
     let mut store_full_s = f64::INFINITY;
-    let mut serde_load_s = f64::INFINITY;
     for _ in 0..iters.max(1) {
         let start = Instant::now();
         let loaded = rid_core::persist::load_cache(&path).expect("container opens");
@@ -850,23 +775,10 @@ fn measure_store(
         store_full_s = store_full_s.min(start.elapsed().as_secs_f64());
         assert_eq!(read, entries, "full materialization must touch every entry");
         drop(loaded);
-
-        let start = Instant::now();
-        let parsed =
-            serde_json::from_str::<SummaryCache>(&legacy_json).expect("legacy JSON parses");
-        serde_load_s = serde_load_s.min(start.elapsed().as_secs_f64());
-        assert_eq!(parsed.len(), entries, "legacy parse must see every entry");
     }
     std::fs::remove_file(&path).ok();
 
-    StoreRecord {
-        entries,
-        file_bytes,
-        store_open_s,
-        store_full_s,
-        serde_load_s,
-        open_speedup: serde_load_s / store_open_s.max(1e-9),
-    }
+    StoreRecord { entries, file_bytes, store_open_s, store_full_s }
 }
 
 fn auto_vs_best(auto: &ModeRecord, tree: &ModeRecord, per_path: &ModeRecord) -> f64 {
@@ -896,8 +808,6 @@ fn mode_row(
 }
 
 fn main() {
-    // The process sweep re-execs this binary as shard workers.
-    rid_core::maybe_run_worker();
     let seed: u64 = args::flag("seed").unwrap_or(2016);
     let threads: usize = args::flag("threads").unwrap_or(1);
     let iters: usize = args::flag("iters").unwrap_or(3);
@@ -913,7 +823,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut records = Vec::new();
     let mut largest: Option<rid_ir::Program> = None;
-    let mut largest_sources: Vec<String> = Vec::new();
     let mut phases: Vec<PhaseAlloc> = Vec::new();
     for &scale in &scales {
         let config = KernelConfig::evaluation(seed).scaled(scale);
@@ -953,7 +862,6 @@ fn main() {
             analyze_speedup,
         });
         largest = Some(program);
-        largest_sources = corpus.sources;
     }
     let largest = largest.expect("at least one scale");
 
@@ -968,16 +876,6 @@ fn main() {
         thread_sweep.push(cell);
     }
 
-    // Process sweep: sharded multi-process analysis at the largest
-    // scale, checked against the sequential reference every iteration.
-    eprintln!("process sweep...");
-    let reference = rid_core::analyze_program(
-        &largest,
-        &rid_core::apis::linux_dpm_apis(),
-        &AnalysisOptions::default(),
-    );
-    let process_sweep = measure_processes(&largest_sources, iters, host_cpus, &reference);
-
     // One tracked analyze pass for the allocation record (the timed
     // mode records above stay unperturbed by phase bookkeeping).
     track_phase(&mut phases, "analyze", || run_once(&largest, ExecMode::Auto, threads));
@@ -986,7 +884,7 @@ fn main() {
     let mut memory = measure_memory(&largest);
 
     // Summary-container warm-load pair (see [`StoreRecord`]).
-    eprintln!("summary store open/parse...");
+    eprintln!("summary store open...");
     let summary_store = measure_store(&largest, iters, &mut phases);
 
     // Cold vs warm cache at the largest scale, single worker (see
@@ -1083,17 +981,6 @@ fn main() {
             record.idle_wait_ns as f64 / 1e6,
         );
     }
-    println!("process sweep (sharded coordinator, 1 worker thread per shard):");
-    for record in &process_sweep {
-        println!(
-            "  {} process(es): {:.3}s ({:.2}x vs 1 process{}; reports {})",
-            record.processes,
-            record.analyze_s,
-            record.speedup_vs_1,
-            if record.scaling_asserted { "" } else { ", not asserted: host too small" },
-            if record.identical_reports { "identical" } else { "DIVERGED" },
-        );
-    }
     println!(
         "cache: cold {:.3}s -> warm {:.3}s ({:.1}x; warm {} hit(s), {} miss(es))",
         cache.cold_s, cache.warm_s, cache.warm_speedup, cache.warm.hits, cache.warm.misses
@@ -1127,12 +1014,9 @@ fn main() {
         memory.peak_rss_bytes as f64 / (1024.0 * 1024.0),
     );
     println!(
-        "summary store: open {:.4}s, full {:.4}s, legacy serde {:.4}s \
-         ({:.1}x open speedup; {} entries, {:.1} KiB)",
+        "summary store: open {:.4}s, full {:.4}s ({} entries, {:.1} KiB)",
         summary_store.store_open_s,
         summary_store.store_full_s,
-        summary_store.serde_load_s,
-        summary_store.open_speedup,
         summary_store.entries,
         summary_store.file_bytes as f64 / 1024.0,
     );
@@ -1161,14 +1045,13 @@ fn main() {
         .unwrap_or(serde_json::Value::Null);
 
     let baseline = PerfBaseline {
-        schema: "rid-bench-perf/v9".to_owned(),
+        schema: "rid-bench-perf/v10".to_owned(),
         seed,
         threads,
         iters,
         host_cpus,
         scales: records,
         thread_sweep,
-        process_sweep,
         cache,
         overhead,
         refute,

@@ -18,10 +18,10 @@
 //!
 //! With `--trace-file <path.jsonl>` the binary profiles a *daemon*
 //! trace instead of running its own corpus: the JSONL flushed by
-//! `rid analyze --trace` (the `.jsonl` sidecar) or a shard worker's
-//! flush file is parsed back into events and aggregated over the serve
-//! span kinds — per-request `serve` spans plus the durability kinds
-//! (`snapshot`, `restore`, `journal-replay`).
+//! `rid analyze --trace` (the `.jsonl` sidecar) is parsed back into
+//! events and aggregated over the serve span kinds — per-request
+//! `serve` spans plus the durability kinds (`snapshot`, `restore`,
+//! `journal-replay`).
 //!
 //! Unlike `perf` this binary makes no timing claims and writes no
 //! baseline — it is the interactive "why is this slow?" entry point

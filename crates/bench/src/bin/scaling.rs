@@ -1,4 +1,5 @@
-//! `scaling` — the CI gate for "parallelism pays".
+//! `scaling` — the CI gate that parallelism does not cost: 2 workers
+//! must not be slower than 1 beyond the noise floor.
 //!
 //! Measures the work-stealing scheduler at 1 and 2 workers on the seeded
 //! kernel corpus and **fails (exit 1)** if the 2-worker run is slower
@@ -14,32 +15,23 @@
 //! overhead on tiny corpora). A 2-worker minimum within
 //! `1-worker minimum × (1 + floor + margin)` passes.
 //!
-//! A determinism spot-check rides along: one `--processes 2` sharded run
-//! must reproduce the sequential reports exactly (cheap insurance that
-//! the multi-process path stays byte-identical on every CI host shape).
+//! A determinism spot-check rides along: every 2-worker run must
+//! reproduce the 1-worker reports exactly, on every host shape.
 //!
 //! ```text
 //! cargo run -p rid-bench --release --bin scaling -- \
 //!     [--seed N] [--scale F] [--iters N]
 //! ```
 
-use rid_core::{AnalysisOptions, FaultPlan};
+use rid_core::{AnalysisOptions, AnalysisResult};
 use rid_corpus::kernel::{generate_kernel, KernelConfig};
 
 #[path = "../args.rs"]
 mod args;
 
-/// Analyze wall-clock samples for one worker count.
-fn samples(program: &rid_ir::Program, threads: usize, iters: usize) -> Vec<f64> {
+fn analyze(program: &rid_ir::Program, threads: usize) -> AnalysisResult {
     let options = AnalysisOptions { threads, ..Default::default() };
-    (0..iters.max(2))
-        .map(|_| {
-            rid_core::analyze_program(program, &rid_core::apis::linux_dpm_apis(), &options)
-                .stats
-                .analyze_time
-                .as_secs_f64()
-        })
-        .collect()
+    rid_core::analyze_program(program, &rid_core::apis::linux_dpm_apis(), &options)
 }
 
 fn min(xs: &[f64]) -> f64 {
@@ -47,8 +39,6 @@ fn min(xs: &[f64]) -> f64 {
 }
 
 fn main() {
-    // The sharded determinism check re-execs this binary as workers.
-    rid_core::maybe_run_worker();
     let seed: u64 = args::flag("seed").unwrap_or(2016);
     let scale: f64 = args::flag("scale").unwrap_or(0.5);
     let iters: usize = args::flag("iters").unwrap_or(5);
@@ -62,12 +52,20 @@ fn main() {
         .expect("corpus must parse");
 
     // Interleave 1- and 2-worker samples so slow drift (thermal, noisy
-    // neighbors) lands on both sides of the comparison equally.
+    // neighbors) lands on both sides of the comparison equally. Every
+    // pair doubles as the determinism spot-check: 2 workers must
+    // reproduce the 1-worker reports exactly, whatever the host shape.
     let mut one = Vec::new();
     let mut two = Vec::new();
     for _ in 0..iters.max(2) {
-        one.extend(samples(&program, 1, 1));
-        two.extend(samples(&program, 2, 1));
+        let sequential = analyze(&program, 1);
+        let parallel = analyze(&program, 2);
+        assert!(
+            sequential.reports == parallel.reports,
+            "2-worker reports diverged from 1 worker"
+        );
+        one.push(sequential.stats.analyze_time.as_secs_f64());
+        two.push(parallel.stats.analyze_time.as_secs_f64());
     }
     let one_min = min(&one);
     let one_max = one.iter().copied().fold(0.0f64, f64::max);
@@ -83,27 +81,7 @@ fn main() {
         one_min / two_min.max(1e-9),
     );
 
-    // Determinism spot-check: a 2-process sharded run must reproduce the
-    // sequential reports exactly, whatever the host shape.
-    let reference = rid_core::analyze_program(
-        &program,
-        &rid_core::apis::linux_dpm_apis(),
-        &AnalysisOptions::default(),
-    );
-    let sharded = rid_core::analyze_processes(
-        &corpus.sources,
-        &rid_core::apis::linux_dpm_apis(),
-        &AnalysisOptions::default(),
-        &FaultPlan::none(),
-        2,
-        None,
-    )
-    .expect("sharded analysis runs");
-    assert!(
-        sharded.reports == reference.reports,
-        "--processes 2 reports diverged from sequential"
-    );
-    println!("determinism: --processes 2 reports identical to sequential");
+    println!("determinism: 2-worker reports identical to 1 worker");
 
     if host_cpus < 2 {
         println!(

@@ -32,7 +32,7 @@
 //!   daemon's SLO numbers.
 //!
 //! The record is patched into the `serve` slot of `BENCH_perf.json`
-//! (schema `rid-bench-perf/v9`, written by the `perf` binary) so CI
+//! (schema `rid-bench-perf/v10`, written by the `perf` binary) so CI
 //! validates both sections together; `--out` overrides the path.
 //!
 //! ```text
@@ -381,11 +381,11 @@ fn main() {
                 pairs.push(("serve".to_owned(), record));
             }
             if let Some(schema) = pairs.iter_mut().find(|(k, _)| k == "schema") {
-                schema.1 = Value::Str("rid-bench-perf/v9".to_owned());
+                schema.1 = Value::Str("rid-bench-perf/v10".to_owned());
             }
             Value::Map(pairs)
         }
-        _ => serde_json::json!({ "schema": "rid-bench-perf/v9", "serve": record }),
+        _ => serde_json::json!({ "schema": "rid-bench-perf/v10", "serve": record }),
     };
     std::fs::write(&out, serde_json::to_string(&updated).expect("baseline serializes"))
         .expect("baseline written");

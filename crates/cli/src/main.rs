@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! rid analyze <file.ril>... [--apis dpm|python|none] [--summaries db.json]
-//!             [--save-summaries out.json] [--threads N] [--steal-batch N]
-//!             [--processes P] [--no-selective] [--separate] [--json]
-//!             [--no-refute] [--deadline-ms N] [--fuel N]
-//!             [--global-deadline-ms N] [--exec-mode auto|tree|per-path]
-//!             [--fault-plan plan.json] [--cache cache.json]
-//!             [--trace out.json] [--metrics out.json]
+//!             [--save-summaries out.json] [--save-state s.json]
+//!             [--threads N] [--steal-batch N] [--no-selective]
+//!             [--separate] [--callbacks] [--json] [--no-refute]
+//!             [--deadline-ms N] [--fuel N] [--global-deadline-ms N]
+//!             [--exec-mode auto|tree|per-path] [--fault-plan plan.json]
+//!             [--cache cache.json] [--trace out.json] [--metrics out.json]
 //! rid explain --state s.json [<file.ril>...] [--function <name>]
 //! rid diff <old-state.json> <new-state.json> [--ignore .ridignore] [--json]
 //! rid suppress <hash> [--file .ridignore]
@@ -36,6 +36,9 @@
 //! analysis state: per-side path constraints, the solver verdict, block
 //! traces, and the callee summaries used.
 //!
+//! Each command accepts only the options listed for it; any other
+//! `--name` is bad usage.
+//!
 //! Exit codes: 0 = clean, 1 = bugs reported, 2 = analysis degraded
 //! (budgets/limits/panics, but no bugs), 3 = fatal error (bad usage,
 //! unreadable input, parse failure). Bugs take precedence over
@@ -55,12 +58,12 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:
   rid analyze <file.ril>... [--apis dpm|python|none] [--summaries db.json]
-              [--save-summaries out.json] [--threads N] [--steal-batch N]
-              [--processes P] [--no-selective] [--separate] [--callbacks]
-              [--json] [--no-refute] [--deadline-ms N] [--fuel N]
-              [--global-deadline-ms N] [--exec-mode auto|tree|per-path]
-              [--fault-plan plan.json] [--cache cache.json]
-              [--trace out.json] [--metrics out.json]
+              [--save-summaries out.json] [--save-state s.json]
+              [--threads N] [--steal-batch N] [--no-selective]
+              [--separate] [--callbacks] [--json] [--no-refute]
+              [--deadline-ms N] [--fuel N] [--global-deadline-ms N]
+              [--exec-mode auto|tree|per-path] [--fault-plan plan.json]
+              [--cache cache.json] [--trace out.json] [--metrics out.json]
   rid explain --state s.json [<file.ril>...] [--function <name>]
   rid explain --flight-recorder <state-dir|dir|file.frec>
   rid diff <old-state.json> <new-state.json> [--ignore .ridignore] [--json]
@@ -94,39 +97,150 @@ const EXIT_DEGRADED: u8 = 2;
 const EXIT_FATAL: u8 = 3;
 
 struct Args {
-    command: String,
     files: Vec<PathBuf>,
     options: HashMap<String, String>,
     flags: Vec<String>,
 }
 
-fn parse_args() -> Option<Args> {
-    let mut argv = std::env::args().skip(1);
-    let command = argv.next()?;
-    let mut files = Vec::new();
-    let mut options = HashMap::new();
-    let mut flags = Vec::new();
-    let rest: Vec<String> = argv.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = &rest[i];
-        if let Some(name) = arg.strip_prefix("--") {
-            if matches!(
-                name,
-                "json" | "no-selective" | "tiny" | "separate" | "callbacks" | "stdio"
-                    | "no-refute"
-            ) {
-                flags.push(name.to_owned());
-            } else {
-                i += 1;
-                options.insert(name.to_owned(), rest.get(i)?.clone());
-            }
+/// Read by [`predefined_apis`].
+const API_OPTIONS: &[&str] = &["apis", "summaries"];
+/// Read by [`analysis_options`].
+const ANALYSIS_OPTIONS: &[&str] =
+    &["deadline-ms", "global-deadline-ms", "fuel", "exec-mode", "threads", "steal-batch"];
+/// Read by [`analysis_options`].
+const ANALYSIS_FLAGS: &[&str] = &["no-selective", "callbacks", "no-refute"];
+
+/// One subcommand: its handler, the `--name value` options and the bare
+/// `--name` flags it reads. Any other `--name` is bad usage, so a
+/// misspelt flag can neither be ignored nor swallow the file after it.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<u8, String>,
+    options: &'static [&'static [&'static str]],
+    flags: &'static [&'static [&'static str]],
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "analyze",
+        run: cmd_analyze,
+        options: &[
+            API_OPTIONS,
+            ANALYSIS_OPTIONS,
+            &["fault-plan", "cache", "trace", "metrics", "save-summaries", "save-state"],
+        ],
+        flags: &[ANALYSIS_FLAGS, &["json", "separate"]],
+    },
+    Command {
+        name: "classify",
+        run: |args| cmd_classify(args).map(|()| EXIT_CLEAN),
+        options: &[API_OPTIONS],
+        flags: &[],
+    },
+    Command {
+        name: "summarize",
+        run: |args| cmd_summarize(args).map(|()| EXIT_CLEAN),
+        options: &[API_OPTIONS, ANALYSIS_OPTIONS, &["function"]],
+        flags: &[ANALYSIS_FLAGS],
+    },
+    Command {
+        name: "baseline",
+        run: |args| cmd_baseline(args).map(|()| EXIT_CLEAN),
+        options: &[&["apis"]],
+        flags: &[],
+    },
+    Command {
+        name: "recheck",
+        run: cmd_recheck,
+        options: &[API_OPTIONS, ANALYSIS_OPTIONS, &["state", "changed", "save-state"]],
+        flags: &[ANALYSIS_FLAGS],
+    },
+    Command {
+        name: "explain",
+        run: cmd_explain,
+        options: &[&["state", "function", "flight-recorder"]],
+        flags: &[],
+    },
+    Command { name: "diff", run: cmd_diff, options: &[&["ignore"]], flags: &[&["json"]] },
+    Command { name: "suppress", run: cmd_suppress, options: &[&["file"]], flags: &[] },
+    Command {
+        name: "mine",
+        run: |args| cmd_mine(args).map(|()| EXIT_CLEAN),
+        options: &[&["save-summaries", "field"]],
+        flags: &[],
+    },
+    Command {
+        name: "gen-kernel",
+        run: |args| cmd_gen_kernel(args).map(|()| EXIT_CLEAN),
+        options: &[&["out", "seed", "spurious"]],
+        flags: &[&["tiny"]],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        options: &[&[
+            "socket",
+            "queue-cap",
+            "state-dir",
+            "max-frame-bytes",
+            "trace",
+            "chaos-seed",
+            "chaos-torn-rate",
+            "chaos-fsync-rate",
+        ]],
+        flags: &[&["stdio"]],
+    },
+    Command {
+        name: "client",
+        run: cmd_client,
+        options: &[&[
+            "socket",
+            "op",
+            "project",
+            "function",
+            "baseline",
+            "ignore",
+            "deadline-ms",
+            "idem",
+            "format",
+            "retries",
+            "retry-base-ms",
+            "timeout-ms",
+        ]],
+        flags: &[],
+    },
+    Command {
+        name: "top",
+        run: cmd_top,
+        options: &[&["socket", "interval-ms", "iters"]],
+        flags: &[],
+    },
+];
+
+/// Splits `argv` (without the program name) into its command, input
+/// files, options and flags. `Ok(None)` asks for the usage text: no
+/// command, an unknown one, or an option missing its value. A `--name`
+/// the command does not read is an error naming it.
+fn parse_args(argv: &[String]) -> Result<Option<(&'static Command, Args)>, String> {
+    let Some((name, rest)) = argv.split_first() else { return Ok(None) };
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else { return Ok(None) };
+    let mut args = Args { files: Vec::new(), options: HashMap::new(), flags: Vec::new() };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        let Some(option) = arg.strip_prefix("--") else {
+            args.files.push(PathBuf::from(arg));
+            continue;
+        };
+        if command.flags.iter().copied().flatten().any(|&f| f == option) {
+            args.flags.push(option.to_owned());
+        } else if command.options.iter().copied().flatten().any(|&o| o == option) {
+            let Some(value) = rest.next() else { return Ok(None) };
+            args.options.insert(option.to_owned(), value.clone());
         } else {
-            files.push(PathBuf::from(arg));
+            return Err(format!("unknown option `--{option}` for `rid {name}`"));
         }
-        i += 1;
     }
-    Some(Args { command, files, options, flags })
+    Ok(Some((command, args)))
 }
 
 fn predefined_apis(args: &Args) -> Result<SummaryDb, String> {
@@ -218,8 +332,8 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
     let apis = predefined_apis(args)?;
     let options = analysis_options(args)?;
     // Fault plans are a testing instrument: they let the differential
-    // suite drive `--processes`/`--threads` runs through the exact
-    // degradation machinery a sequential reference run hits.
+    // suite drive `--threads` runs through the exact degradation
+    // machinery a sequential reference run hits.
     let faults: rid_core::FaultPlan = match args.options.get("fault-plan") {
         Some(path) => serde_json::from_str(
             &std::fs::read_to_string(path).map_err(|e| format!("--fault-plan: {path}: {e}"))?,
@@ -227,33 +341,12 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         .map_err(|e| format!("--fault-plan: {path}: {e}"))?,
         None => rid_core::FaultPlan::none(),
     };
-    let processes: Option<usize> = parsed(args, "processes", "a count")?;
 
     let cache_path = args.options.get("cache").map(PathBuf::from);
-    let separate = args.flags.iter().any(|f| f == "separate");
-    // Shard-worker trace lanes, captured only on the `--processes` path
-    // when tracing is on; merged with the coordinator's own ring below.
-    let mut stitched: Option<rid_core::StitchedTrace> = None;
-    // The plain and cached paths return the `Program` they analyzed, for
-    // text output to render from.
-    let (result, program) = if let Some(processes) = processes {
-        if separate {
-            return Err("--processes is not supported with --separate".to_owned());
-        }
-        // The coordinator owns the cache file end to end (warm start and
-        // final merged store), so the CLI-level load/save is skipped.
-        let (result, traced) = rid_core::analyze_processes_traced(
-            &sources,
-            &apis,
-            &options,
-            &faults,
-            processes,
-            cache_path.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        stitched = traced;
-        (result, None)
-    } else if separate {
+    let json = args.flags.iter().any(|f| f == "json");
+    // Every path parses each source once and hands text output the
+    // program it analyzed, for parameter names.
+    let (result, program) = if args.flags.iter().any(|f| f == "separate") {
         if cache_path.is_some() {
             return Err("--cache is not supported with --separate".to_owned());
         }
@@ -262,54 +355,54 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         }
         // §5.3 mode: analyze compilation units separately in dependency
         // order, carrying summaries between groups.
-        let modules: Result<Vec<_>, _> =
-            sources.iter().map(|s| rid_frontend::parse_module(s)).collect();
-        let modules = modules.map_err(|e| e.to_string())?;
+        let modules: Vec<rid_ir::Module> =
+            rid_frontend::parse_sources(sources.iter().map(String::as_str))
+                .collect::<Result<_, _>>()
+                .map_err(|e| e.to_string())?;
         let result =
             analyze_modules_separately(&modules, &apis, &options).map_err(|e| e.to_string())?;
-        (result, None)
-    } else if let Some(path) = &cache_path {
+        // Text output links the analyzed modules for parameter names; a
+        // link conflict between groups only costs the names.
+        let program = if json {
+            None
+        } else {
+            let mut program = rid_ir::Program::new();
+            modules.into_iter().try_for_each(|m| program.link(m)).ok().map(|()| program)
+        };
+        (result, program)
+    } else {
         let program = rid_frontend::parse_program(sources.iter().map(String::as_str))
             .map_err(|e| e.to_string())?;
         // A missing cache file is a cold start, not an error; anything
         // else (unreadable, garbage, foreign schema) is fatal.
-        let mut cache = if path.exists() {
-            load_cache(path).map_err(|e| format!("--cache: {e}"))?
-        } else {
-            rid_core::SummaryCache::new()
+        let mut cache = match &cache_path {
+            Some(path) if path.exists() => {
+                Some(load_cache(path).map_err(|e| format!("--cache: {e}"))?)
+            }
+            Some(_) => Some(rid_core::SummaryCache::new()),
+            None => None,
         };
         let result = rid_core::analyze_program_cached(
             &program,
             &apis,
             &options,
             &faults,
-            Some(&mut cache),
+            cache.as_mut(),
         );
-        save_cache(&cache, path).map_err(|e| format!("--cache: {e}"))?;
-        eprintln!(
-            "cache: {} hit(s), {} miss(es), {} invalidated; {} entries in {}",
-            result.stats.cache_hits,
-            result.stats.cache_misses,
-            result.stats.cache_invalidated,
-            cache.len(),
-            path.display()
-        );
-        (result, Some(program))
-    } else {
-        let program = rid_frontend::parse_program(sources.iter().map(String::as_str))
-            .map_err(|e| e.to_string())?;
-        let result =
-            rid_core::driver::analyze_program_with_faults(&program, &apis, &options, &faults);
+        if let (Some(path), Some(cache)) = (&cache_path, &cache) {
+            save_cache(cache, path).map_err(|e| format!("--cache: {e}"))?;
+            eprintln!(
+                "cache: {} hit(s), {} miss(es), {} invalidated; {} entries in {}",
+                result.stats.cache_hits,
+                result.stats.cache_misses,
+                result.stats.cache_invalidated,
+                cache.len(),
+                path.display()
+            );
+        }
         (result, Some(program))
     };
 
-    let json = args.flags.iter().any(|f| f == "json");
-    // Text output restores parameter names, so the two paths without a
-    // linked program parse one for it; JSON output never reads it.
-    let program = match program {
-        None if !json => rid_frontend::parse_program(sources.iter().map(String::as_str)).ok(),
-        program => program,
-    };
     if json {
         let rendered = serde_json::to_string_pretty(&result.reports)
             .map_err(|e| e.to_string())?;
@@ -337,43 +430,15 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         rid_obs::drain()
     });
     if let (Some(path), Some(trace)) = (&trace_path, &trace) {
-        let shard_events: usize =
-            stitched.iter().flat_map(|st| &st.shards).map(|s| s.events.len()).sum();
-        // With `--processes`, stitch coordinator + shard-worker rings
-        // into one Chrome trace: one pid lane per process, all tied to
-        // the run's trace id so the viewer reads a single timeline.
-        let chrome = match &stitched {
-            Some(st) if !st.shards.is_empty() => {
-                let mut lanes = vec![rid_obs::ChromeLane {
-                    pid: u64::from(std::process::id()),
-                    name: "rid coordinator".to_owned(),
-                    events: &trace.events,
-                }];
-                lanes.extend(st.shards.iter().map(|s| rid_obs::ChromeLane {
-                    pid: s.pid,
-                    name: s.label.clone(),
-                    events: &s.events,
-                }));
-                rid_obs::chrome_json_merged(&lanes, st.trace_id)
-            }
-            _ => trace.to_chrome_json(),
-        };
-        std::fs::write(path, chrome)
+        std::fs::write(path, trace.to_chrome_json())
             .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
         let jsonl_path = PathBuf::from(format!("{}.jsonl", path.display()));
-        let mut jsonl = trace.to_jsonl();
-        for shard in stitched.iter().flat_map(|st| &st.shards) {
-            let shard_trace =
-                rid_obs::Trace { events: shard.events.clone(), dropped: 0 };
-            jsonl.push_str(&shard_trace.to_jsonl());
-        }
-        std::fs::write(&jsonl_path, jsonl)
+        std::fs::write(&jsonl_path, trace.to_jsonl())
             .map_err(|e| format!("--trace: {}: {e}", jsonl_path.display()))?;
         eprintln!(
-            "trace: {} event(s) ({} dropped, {} from shard workers) written to {} (+ {})",
-            trace.events.len() + shard_events,
+            "trace: {} event(s) ({} dropped) written to {} (+ {})",
+            trace.events.len(),
             trace.dropped,
-            shard_events,
             path.display(),
             jsonl_path.display()
         );
@@ -810,13 +875,7 @@ fn cmd_serve(args: &Args) -> Result<u8, String> {
         if let Some(path) = &trace_path {
             rid_obs::trace::disable();
             let trace = rid_obs::drain();
-            let lanes = [rid_obs::ChromeLane {
-                pid: u64::from(std::process::id()),
-                name: "rid serve".to_owned(),
-                events: &trace.events,
-            }];
-            let chrome = rid_obs::chrome_json_merged(&lanes, rid_core::next_trace_id());
-            std::fs::write(path, chrome)
+            std::fs::write(path, trace.to_chrome_json())
                 .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
             eprintln!(
                 "trace: {} event(s) ({} dropped) written to {}",
@@ -1043,31 +1102,91 @@ fn top_latency_rows(
 }
 
 fn main() -> ExitCode {
-    // A `--processes` coordinator re-execs this binary as shard workers;
-    // this diverts (and exits) when the worker token is present.
-    rid_core::maybe_run_worker();
-    let Some(args) = parse_args() else { return usage() };
-    let outcome = match args.command.as_str() {
-        "analyze" => cmd_analyze(&args),
-        "classify" => cmd_classify(&args).map(|()| EXIT_CLEAN),
-        "summarize" => cmd_summarize(&args).map(|()| EXIT_CLEAN),
-        "baseline" => cmd_baseline(&args).map(|()| EXIT_CLEAN),
-        "recheck" => cmd_recheck(&args),
-        "explain" => cmd_explain(&args),
-        "diff" => cmd_diff(&args),
-        "suppress" => cmd_suppress(&args),
-        "mine" => cmd_mine(&args).map(|()| EXIT_CLEAN),
-        "gen-kernel" => cmd_gen_kernel(&args).map(|()| EXIT_CLEAN),
-        "serve" => cmd_serve(&args),
-        "client" => cmd_client(&args),
-        "top" => cmd_top(&args),
-        _ => return usage(),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match parse_args(&argv) {
+        Ok(None) => return usage(),
+        Ok(Some((command, args))) => (command.run)(&args),
+        Err(message) => Err(message),
     };
     match outcome {
         Ok(code) => ExitCode::from(code),
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::from(EXIT_FATAL)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|&a| a.to_owned()).collect()
+    }
+
+    fn names(groups: &'static [&'static [&'static str]]) -> impl Iterator<Item = &'static str> {
+        groups.iter().copied().flatten().copied()
+    }
+
+    #[test]
+    fn each_command_accepts_exactly_its_declared_names() {
+        for command in COMMANDS {
+            for option in names(command.options) {
+                let line = argv(&[command.name, &format!("--{option}"), "v"]);
+                let (_, args) = parse_args(&line).unwrap().unwrap();
+                assert_eq!(args.options.get(option).map(String::as_str), Some("v"), "--{option}");
+                assert!(args.files.is_empty(), "`--{option}` takes its value, not a file");
+            }
+            for flag in names(command.flags) {
+                let line = argv(&[command.name, &format!("--{flag}"), "f.ril"]);
+                let (_, args) = parse_args(&line).unwrap().unwrap();
+                assert_eq!(args.flags, [flag]);
+                assert_eq!(args.files, [PathBuf::from("f.ril")], "`--{flag}` takes no value");
+            }
+            let Err(err) = parse_args(&argv(&[command.name, "--bogus", "3"])) else {
+                panic!("`rid {} --bogus` must be rejected", command.name);
+            };
+            assert_eq!(err, format!("unknown option `--bogus` for `rid {}`", command.name));
+        }
+    }
+
+    #[test]
+    fn misspelt_flag_cannot_swallow_the_next_file() {
+        let Err(err) = parse_args(&argv(&["analyze", "--jsn", "a.ril", "b.ril"])) else {
+            panic!("`--jsn` must be rejected");
+        };
+        assert_eq!(err, "unknown option `--jsn` for `rid analyze`");
+        let (command, args) =
+            parse_args(&argv(&["analyze", "a.ril", "--threads", "2", "b.ril", "--json", "c.ril"]))
+                .unwrap()
+                .unwrap();
+        assert_eq!(command.name, "analyze");
+        assert_eq!(args.files, ["a.ril", "b.ril", "c.ril"].map(PathBuf::from));
+        assert_eq!(args.options.get("threads").map(String::as_str), Some("2"));
+        assert_eq!(args.flags, ["json"]);
+    }
+
+    #[test]
+    fn missing_command_or_option_value_asks_for_usage() {
+        let cases: [&[&str]; 3] =
+            [&[], &["frobnicate", "a.ril"], &["analyze", "a.ril", "--threads"]];
+        for case in cases {
+            assert!(matches!(parse_args(&argv(case)), Ok(None)), "{case:?}");
+        }
+    }
+
+    /// A name declared as both an option and a flag would parse as the
+    /// flag and turn the option's value into an input file.
+    #[test]
+    fn command_table_declares_each_name_once() {
+        let mut commands = std::collections::BTreeSet::new();
+        for command in COMMANDS {
+            assert!(commands.insert(command.name), "`rid {}` declared twice", command.name);
+            let mut seen = std::collections::BTreeSet::new();
+            for name in names(command.options).chain(names(command.flags)) {
+                assert!(seen.insert(name), "`--{name}` declared twice for `rid {}`", command.name);
+            }
         }
     }
 }

@@ -364,21 +364,66 @@ fn bad_usage_exits_3() {
         .unwrap();
     assert_eq!(output.status.code(), Some(3), "unparsable budget flag is fatal");
 
-    // Malformed numeric flags are usage errors, never a silent default.
+    // Malformed numeric flags are usage errors, never a silent default;
+    // so is any option the command does not read, which must neither be
+    // ignored nor swallow the input file after it.
     let dir = tempdir("bad-flags");
     let file = write(&dir, "clean.ril", CLEAN);
+    let file = file.to_str().unwrap();
     let out = dir.join("corpus");
-    let cases: [(&[&str], &str); 3] = [
-        (&["analyze", file.to_str().unwrap(), "--threads", "two"], "--threads"),
-        (&["analyze", file.to_str().unwrap(), "--steal-batch", "x"], "--steal-batch"),
-        (&["gen-kernel", "--seed", "2O16", "--out", out.to_str().unwrap()], "--seed"),
+    let cases: [(&[&str], &str); 6] = [
+        (&["analyze", file, "--threads", "two"], "--threads expects"),
+        (&["analyze", file, "--steal-batch", "x"], "--steal-batch expects"),
+        (&["gen-kernel", "--seed", "2O16", "--out", out.to_str().unwrap()], "--seed expects"),
+        (&["analyze", "--jsn", file], "unknown option `--jsn` for `rid analyze`"),
+        (&["analyze", file, "--thread", "2"], "unknown option `--thread` for `rid analyze`"),
+        (&["analyze", file, "--processes", "2"], "unknown option `--processes` for `rid analyze`"),
     ];
-    for (args, flag) in cases {
+    for (args, fragment) in cases {
         let output = rid().args(args).output().unwrap();
         assert_eq!(output.status.code(), Some(3), "{args:?}: {}", stderr(&output));
-        assert!(stderr(&output).contains(&format!("{flag} expects")), "{}", stderr(&output));
+        assert!(stderr(&output).contains(fragment), "{args:?}: {}", stderr(&output));
     }
     assert!(!out.exists(), "a rejected gen-kernel writes nothing");
+}
+
+/// `--separate` parses through the same helper as the linked path, so
+/// a parse error names the offending source either way.
+#[test]
+fn separate_parse_error_names_its_source() {
+    let dir = tempdir("separate-parse-error");
+    let good = write(&dir, "good.ril", CLEAN);
+    let bad = write(&dir, "bad.ril", "module bad;\nfn broken(dev) { let = 1; }");
+    for extra in [&[][..], &["--separate"][..]] {
+        let output = rid().arg("analyze").args([&good, &bad]).args(extra).output().unwrap();
+        assert_eq!(output.status.code(), Some(3), "{extra:?}: {}", stderr(&output));
+        let err = stderr(&output);
+        assert!(err.starts_with("error: source #1: 2:"), "{extra:?}: {err}");
+    }
+}
+
+/// `--separate` runs its own §5.3 analysis, which neither reads a
+/// summary store nor injects faults, so asking for either is bad usage
+/// rather than a silently ignored option.
+#[test]
+fn separate_rejects_cache_and_fault_plan() {
+    let dir = tempdir("separate-combos");
+    let file = write(&dir, "clean.ril", CLEAN);
+    let plan = rid_core::FaultPlan { seed: 1, panic_rate: 0.5, ..rid_core::FaultPlan::none() };
+    let plan = write(&dir, "plan.json", &serde_json::to_string(&plan).unwrap());
+    let cache = dir.join("store.bin");
+    let cases = [
+        (["--cache", cache.to_str().unwrap()], "--cache is not supported with --separate"),
+        (["--fault-plan", plan.to_str().unwrap()], "--fault-plan is not supported with --separate"),
+    ];
+    for (extra, fragment) in cases {
+        let output =
+            rid().arg("analyze").arg(&file).arg("--separate").args(extra).output().unwrap();
+        assert_eq!(output.status.code(), Some(3), "{extra:?}: {}", stderr(&output));
+        assert!(stderr(&output).contains(fragment), "{extra:?}: {}", stderr(&output));
+        assert!(stdout(&output).is_empty(), "{extra:?}: nothing analyzed");
+    }
+    assert!(!cache.exists(), "a rejected run writes no store");
 }
 
 /// The `lower` spans (one per parsed module) in a `--trace` run's JSONL
@@ -397,11 +442,13 @@ fn analyze_parses_each_file_once() {
     let files = [write(&dir, "radeon.ril", FIG8), write(&dir, "clean.ril", CLEAN)];
     let cache = dir.join("store.bin");
     let cache = cache.to_str().unwrap();
-    let runs: [(&str, &[&str]); 4] = [
+    let runs: [(&str, &[&str]); 6] = [
         ("text", &[]),
         ("json", &["--json"]),
         ("cold-cache", &["--cache", cache]),
         ("warm-cache", &["--cache", cache]),
+        ("separate", &["--separate"]),
+        ("separate-json", &["--separate", "--json"]),
     ];
     for (tag, extra) in runs {
         let trace = dir.join(format!("{tag}.json"));
@@ -415,7 +462,7 @@ fn analyze_parses_each_file_once() {
             .unwrap();
         assert_eq!(output.status.code(), Some(1), "{tag}: {}", stderr(&output));
         assert_eq!(lower_spans(&trace), files.len(), "{tag}: one parse per file");
-        if tag != "json" {
+        if !tag.ends_with("json") {
             // Text output renders parameter names from the analyzed program.
             let text = stdout(&output);
             assert!(text.contains("[dev].pm"), "{tag}: parameter names restored: {text}");
@@ -538,4 +585,66 @@ fn balanced(dev) {
     assert_eq!(output.status.code(), Some(0), "{}", stdout(&output));
     let status = daemon.wait().unwrap();
     assert!(status.success(), "daemon drains and exits cleanly after shutdown");
+}
+
+/// `rid serve --trace` writes the same single-process Chrome trace as
+/// `rid analyze --trace`: every span on pid lane 1, no process-name
+/// metadata and no cross-process trace id.
+#[cfg(unix)]
+#[test]
+fn serve_trace_is_a_single_lane_chrome_trace() {
+    /// Kills the daemon if the test fails before it shuts down.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let dir = tempdir("serve-trace");
+    let socket = dir.join("rid.sock");
+    let trace = dir.join("serve.json");
+    let clean = write(&dir, "clean.ril", CLEAN);
+    let mut daemon = Daemon(
+        rid()
+            .args(["serve", "--socket", socket.to_str().unwrap(), "--state-dir"])
+            .arg(dir.join("state"))
+            .arg("--trace")
+            .arg(&trace)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let client = |extra: &[&str]| -> Output {
+        rid().args(["client", "--socket", socket.to_str().unwrap()]).args(extra).output().unwrap()
+    };
+    let ready = (0..600).any(|_| {
+        let up = client(&["--op", "ping"]).status.code() == Some(0);
+        if !up {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        up
+    });
+    assert!(ready, "daemon never answered ping on {}", socket.display());
+    let register = ["--op", "register", "--project", "p", clean.to_str().unwrap()];
+    for op in [&register[..], &["--op", "snapshot"]] {
+        let output = client(op);
+        assert_eq!(output.status.code(), Some(0), "{op:?}: {}", stdout(&output));
+    }
+    let output = client(&["--op", "shutdown"]);
+    assert_eq!(output.status.code(), Some(0), "{}", stdout(&output));
+    assert!(daemon.0.wait().unwrap().success(), "daemon drains and exits cleanly");
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let json: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert!(json.get("otherData").is_none(), "{text}");
+    let events = json["traceEvents"].as_array().unwrap();
+    let names: Vec<&str> = events.iter().map(|e| e["name"].as_str().unwrap()).collect();
+    assert!(names.contains(&"register:p") && names.contains(&"snapshot"), "{names:?}");
+    for event in events {
+        assert_eq!(event["pid"].as_u64(), Some(1), "{event}");
+        assert_ne!(event["ph"].as_str(), Some("M"), "no metadata events: {event}");
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests for the triage workflow: `rid diff` as a CI gate
 //! (exit non-zero only on *new* bugs), `.ridignore` suppression and the
 //! `rid suppress` round-trip, `--no-refute`, the `gen-kernel --spurious`
-//! knob, and hash stability across `--processes`.
+//! knob, and hash stability across `--threads`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -344,17 +344,16 @@ fn client_diff_gate_applies_local_suppressions() {
 }
 
 /// The `REPORTS.md` stability guarantee, end to end through the binary:
-/// `--processes` and `--threads` runs hash identically to a sequential
-/// one.
+/// `--threads` runs hash identically to a sequential one.
 #[test]
-fn hashes_are_stable_across_processes_and_threads() {
+fn hashes_are_stable_across_threads() {
     let dir = tempdir("hash-stability");
     let a = write(&dir, "a.ril", &buggy_module("mod_a", "fn_unchanged"));
     let c = write(&dir, "c.ril", &buggy_module("mod_c", "fn_new"));
     let files = [&a, &c];
     let sequential = save_state(&dir, "seq.json", &files);
 
-    let variants: [&[&str]; 2] = [&["--processes", "2"], &["--threads", "4"]];
+    let variants: [&[&str]; 2] = [&["--threads", "2"], &["--threads", "4"]];
     for (i, extra) in variants.iter().enumerate() {
         let state_path = dir.join(format!("variant{i}.json"));
         let mut cmd = rid();

@@ -358,11 +358,11 @@ pub struct CacheEntry {
 /// [`crate::persist::save_cache`] / [`crate::persist::load_cache`].
 ///
 /// The cache is **hybrid**: `entries` holds the resident records
-/// (inserted this process, or parsed from a legacy JSON cache), while an
-/// optional backing [`crate::store::SummaryStore`] answers probes for
-/// everything else with an index lookup plus one positioned read — a
-/// warm run materializes only the entries it actually hits. Resident
-/// entries shadow backing ones.
+/// (inserted this process), while an optional backing
+/// [`crate::store::SummaryStore`] answers probes for everything else
+/// with an index lookup plus one positioned read — a warm run
+/// materializes only the entries it actually hits. Resident entries
+/// shadow backing ones.
 #[derive(Clone, Debug)]
 pub struct SummaryCache {
     /// Schema tag; always [`CACHE_SCHEMA`] for caches this build writes.
@@ -374,11 +374,11 @@ pub struct SummaryCache {
     backing: Option<std::sync::Arc<crate::store::SummaryStore>>,
 }
 
-// Serialized as the legacy `{"schema", "entries"}` JSON shape with the
-// backing store *materialized* — the textual form is self-contained, so
-// a cache round-tripped through JSON never silently drops lazily-held
-// entries. (The store write path never comes through here; it copies
-// unshadowed backing payloads as raw bytes.)
+// Serialized as one `{"schema", "entries"}` JSON document with the
+// backing store *materialized*, so two caches compare by content
+// whatever their entries' residency. Write-only: nothing reads this
+// shape back, and the store write path never comes through here (it
+// copies unshadowed backing payloads as raw bytes).
 impl Serialize for SummaryCache {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut entries = Vec::new();
@@ -406,31 +406,6 @@ impl Serialize for SummaryCache {
             ("schema".to_owned(), serde::Value::Str(self.schema.clone())),
             ("entries".to_owned(), serde::Value::Map(pairs)),
         ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for SummaryCache {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = serde::Value::deserialize(deserializer)?;
-        let fields = serde::__private::expect_map::<D::Error>(value)?;
-        let mut schema = String::new();
-        let mut entries = BTreeMap::new();
-        for (field, value) in fields {
-            match field.as_str() {
-                "schema" => {
-                    schema = serde::__private::from_value_err::<String, D::Error>(value)?;
-                }
-                "entries" => {
-                    for (name, entry) in serde::__private::expect_map::<D::Error>(value)? {
-                        let entry =
-                            serde::__private::from_value_err::<CacheEntry, D::Error>(entry)?;
-                        entries.insert(name, entry);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(SummaryCache { schema, entries, backing: None })
     }
 }
 

@@ -85,9 +85,9 @@ pub struct AnalysisOptions {
     pub steal_batch: usize,
     /// Run the second-stage refutation pass ([`crate::refute`]) over the
     /// surviving reports (on by default; `--no-refute` disables it). Like
-    /// `check_callbacks`, this is a post-merge coordinator pass: shard
-    /// workers never run it, and it is **not** cache-key material — the
-    /// cache stores stage-one reports and warm runs re-refute.
+    /// `check_callbacks`, this runs once over the merged reports, and it
+    /// is **not** cache-key material — the cache stores stage-one reports
+    /// and warm runs re-refute.
     pub refute: bool,
 }
 
@@ -623,36 +623,7 @@ pub fn analyze_program_cached(
     predefined: &SummaryDb,
     options: &AnalysisOptions,
     faults: &FaultPlan,
-    cache: Option<&mut SummaryCache>,
-) -> AnalysisResult {
-    analyze_program_masked(program, predefined, options, faults, cache, None)
-}
-
-/// A per-component shard mask for multi-process analysis (see
-/// [`crate::shard`]). `analyze` marks the components this process runs at
-/// all (its assigned components plus their active callee closure, so
-/// every summary a worker reads is either cached or recomputed locally);
-/// `emit` marks the subset this process *owns* — only their reports,
-/// degradations, statistics, and cache write-backs leave the process.
-/// Closure-only components still publish summaries into the slots, but
-/// their outputs are discarded: the owning shard already reported them.
-pub(crate) struct CompMask {
-    /// Indexed by component: process this component.
-    pub analyze: Vec<bool>,
-    /// Indexed by component: own this component's outputs.
-    pub emit: Vec<bool>,
-}
-
-/// [`analyze_program_cached`] with an optional [`CompMask`] restricting
-/// which call-graph components this process analyzes and which outputs it
-/// owns. `None` analyzes (and owns) everything.
-pub(crate) fn analyze_program_masked(
-    program: &Program,
-    predefined: &SummaryDb,
-    options: &AnalysisOptions,
-    faults: &FaultPlan,
     mut cache: Option<&mut SummaryCache>,
-    mask: Option<&CompMask>,
 ) -> AnalysisResult {
     // One sorted function list per analysis: the call graph's node `i`
     // is `functions[i]`.
@@ -685,18 +656,11 @@ pub(crate) fn analyze_program_masked(
     // nobody needs to wait for them).
     let cond = graph.condensation();
     let n_comps = cond.members.len();
-    let mut active: Vec<bool> = cond
+    let active: Vec<bool> = cond
         .members
         .iter()
         .map(|members| members.iter().any(|&i| should_analyze(graph.sym(i))))
         .collect();
-    if let Some(mask) = mask {
-        debug_assert_eq!(mask.analyze.len(), n_comps);
-        for (a, &m) in active.iter_mut().zip(&mask.analyze) {
-            *a = *a && m;
-        }
-    }
-    let owns = |c: usize| mask.is_none_or(|m| m.emit[c]);
     let keys: Vec<Option<u128>> = if cache.is_some() {
         let salt = cache_salt(options, predefined);
         function_keys(&functions, &cond, &active, salt)
@@ -825,14 +789,7 @@ pub(crate) fn analyze_program_masked(
         let mut out = WorkerOut::default();
         for (c, &is_active) in active.iter().enumerate() {
             if is_active {
-                if owns(c) {
-                    process_comp(c, &mut out);
-                } else {
-                    // Closure-only component under a shard mask: publish
-                    // summaries (into `slots`) but discard the outputs —
-                    // the owning shard already accounted for them.
-                    process_comp(c, &mut WorkerOut::default());
-                }
+                process_comp(c, &mut out);
             }
         }
         vec![out]
@@ -886,13 +843,7 @@ pub(crate) fn analyze_program_masked(
                 }
                 profile.comps += 1;
                 let c = popped.comp;
-                if owns(c) {
-                    process_comp(c, &mut out);
-                } else {
-                    // See the sequential path: summaries publish, outputs
-                    // are the owning shard's to report.
-                    process_comp(c, &mut WorkerOut::default());
-                }
+                process_comp(c, &mut out);
                 for &cw in &cond.caller_comps[c] {
                     // AcqRel: the release half publishes this worker's slot
                     // writes to the thief that schedules `cw`; the acquire
@@ -985,11 +936,9 @@ pub(crate) fn analyze_program_masked(
 
 /// The callback-contract pass: re-checks registered callbacks with
 /// return-value distinctions removed, appending any report not already
-/// present for the same `(function, refcount)`. Runs after the summary
-/// database is complete — the driver calls it inline, and the
-/// multi-process coordinator ([`crate::shard`]) calls it once over the
-/// merged result (shard workers skip it, so it is never run twice).
-pub(crate) fn callback_pass(
+/// present for the same `(function, refcount)`. Runs once, after the
+/// summary database is complete.
+fn callback_pass(
     program: &Program,
     db: &SummaryDb,
     options: &AnalysisOptions,
@@ -1350,6 +1299,35 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&warm.summaries).unwrap(),
             serde_json::to_string(&cold.summaries).unwrap()
+        );
+    }
+
+    /// `rid analyze` runs with and without `--cache` share one path; a
+    /// cold store must change nothing but the cache counters.
+    #[test]
+    fn uncached_run_matches_cold_cached_run() {
+        let apis = linux_dpm_apis();
+        let options = AnalysisOptions::default();
+        let program = rid_frontend::parse_program([FIGURE8, FIGURE9]).unwrap();
+        let plain = analyze_program(&program, &apis, &options);
+        let stats = &plain.stats;
+        assert_eq!((stats.cache_hits, stats.cache_misses, stats.cache_invalidated), (0, 0, 0));
+        let mut cache = SummaryCache::new();
+        let cold = analyze_program_cached(
+            &program,
+            &apis,
+            &options,
+            &FaultPlan::none(),
+            Some(&mut cache),
+        );
+        assert_eq!(cold.stats.cache_misses, plain.stats.functions_analyzed);
+        assert!(!cache.is_empty(), "a cold run fills the cache");
+        assert!(!plain.reports.is_empty());
+        assert_eq!(cold.reports, plain.reports);
+        assert_eq!(cold.degraded, plain.degraded);
+        assert_eq!(
+            serde_json::to_string(&cold.summaries).unwrap(),
+            serde_json::to_string(&plain.summaries).unwrap()
         );
     }
 

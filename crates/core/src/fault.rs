@@ -16,9 +16,9 @@ use serde::{Deserialize, Serialize};
 
 /// A deterministic fault-injection plan.
 ///
-/// Serializable so coordinators can ship a plan to shard worker
-/// processes verbatim — selection hashes only the seed and the function
-/// name, so the same plan faults the same functions in every process.
+/// Serializable for `rid analyze --fault-plan plan.json` — selection
+/// hashes only the seed and the function name, so the same plan faults
+/// the same functions at every thread count.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed for the per-function selection hash.

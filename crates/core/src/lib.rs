@@ -66,7 +66,6 @@ pub mod paths;
 pub mod persist;
 pub mod refute;
 pub mod report;
-pub mod shard;
 pub mod triage;
 pub mod slice;
 pub mod store;
@@ -90,18 +89,13 @@ pub use exec::{
 pub use fault::FaultPlan;
 pub use ipp::{check_ipps, IppOutcome, IppReport, ReportProvenance};
 pub use obs::{
-    degrade_census, next_trace_id, parse_trace_jsonl, record_trace, registry_from_result,
-    registry_from_stats,
+    degrade_census, parse_trace_jsonl, record_trace, registry_from_result, registry_from_stats,
 };
 pub use paths::{enumerate_paths, enumerate_paths_metered, Path, PathLimits, PathSet, PathTree};
 pub use refute::{refute_report, RefuteVerdict, DEFAULT_REFUTE_FUEL};
 pub use report::{
     classify_report, render_explanation, render_explanations, render_report, render_reports,
     BugKind,
-};
-pub use shard::{
-    analyze_processes, analyze_processes_traced, maybe_run_worker, ShardTrace, StitchedTrace,
-    TRACE_FILE_ENV, TRACE_ID_ENV, WORKER_ARG,
 };
 pub use store::SummaryStore;
 pub use summary::{Summary, SummaryDb, SummaryEntry};

@@ -120,24 +120,11 @@ pub fn degrade_census(trace: &Trace) -> BTreeMap<String, String> {
     out
 }
 
-/// A process-unique trace id: the coordinator's OS pid in the high 32
-/// bits, a per-process counter in the low. Ties the coordinator and
-/// every `__rid-shard-worker` child of one run into one timeline (and
-/// one merged Chrome trace) without any shared clock or filesystem
-/// coordination.
-#[must_use]
-pub fn next_trace_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    (u64::from(std::process::id()) << 32) | NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Parses trace JSONL (the [`Trace::to_jsonl`] format) back into
-/// events — the reader half of cross-process trace stitching: shard
-/// workers flush their rings to per-shard `.trace.jsonl` files and the
-/// coordinator reconstructs them with this. Unknown or malformed lines
-/// (a header, a newer schema's span kind) are skipped, not errors, so
-/// a coordinator can read artifacts written by a newer worker.
+/// Parses trace JSONL (the [`Trace::to_jsonl`] format, the `<path>.jsonl`
+/// sidecar of `rid analyze --trace <path>`) back into events, e.g. for
+/// `rid-bench profile --trace-file`. Unknown or malformed lines (a newer
+/// schema's span kind) are skipped, not errors, so an older reader can
+/// still profile a newer writer's trace.
 #[must_use]
 pub fn parse_trace_jsonl(text: &str) -> Vec<rid_obs::TraceEvent> {
     let mut events = Vec::new();

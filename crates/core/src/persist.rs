@@ -161,33 +161,18 @@ pub fn save_cache(cache: &crate::cache::SummaryCache, path: &Path) -> io::Result
 
 /// Loads a summary cache saved by [`save_cache`].
 ///
-/// A RIDSS1 container opens **lazily**: only the header and offset index
-/// are read here; entry payloads are fetched and parsed per probe. A
-/// legacy JSON cache (pre-container builds) is still recognized and
-/// parsed eagerly. Either way, caches written under a different
-/// [`crate::cache::CACHE_SCHEMA`] are rejected — stale on-disk formats
-/// must miss loudly rather than corrupt a run.
+/// The RIDSS1 container opens **lazily**: only the header and offset
+/// index are read here; entry payloads are fetched and parsed per probe.
+/// Caches written under a different [`crate::cache::CACHE_SCHEMA`] are
+/// rejected — stale on-disk formats must miss loudly rather than corrupt
+/// a run.
 ///
 /// # Errors
 ///
-/// Returns an I/O error if the file cannot be read, parsed, or carries a
-/// different schema tag.
+/// Returns an I/O error if the file cannot be read, is not a RIDSS1
+/// container, or carries a different schema tag.
 pub fn load_cache(path: &Path) -> io::Result<crate::cache::SummaryCache> {
-    let mut magic = [0u8; 8];
-    {
-        use std::io::Read as _;
-        let mut file = fs::File::open(path)?;
-        let n = file.read(&mut magic)?;
-        if n < magic.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "summary cache: truncated"));
-        }
-    }
-    let cache = if &magic == crate::store::STORE_MAGIC {
-        crate::cache::SummaryCache::from_store(crate::store::SummaryStore::open(path)?)
-    } else {
-        let json = fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-    };
+    let cache = crate::cache::SummaryCache::from_store(crate::store::SummaryStore::open(path)?);
     if cache.schema != crate::cache::CACHE_SCHEMA {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -563,6 +548,12 @@ mod tests {
             .expect("schema tag present in header");
         bytes[at..at + schema.len()].copy_from_slice(b"rid-summary-cache/v0");
         std::fs::write(&path, bytes).unwrap();
+        assert!(load_cache(&path).is_err());
+
+        // The pre-RIDSS1 JSON document shape is refused even under the
+        // current schema tag: RIDSS1 is the only cache format.
+        let json = format!("{{\"schema\":\"{}\",\"entries\":{{}}}}", crate::cache::CACHE_SCHEMA);
+        std::fs::write(&path, json).unwrap();
         assert!(load_cache(&path).is_err());
         std::fs::remove_file(&path).ok();
     }

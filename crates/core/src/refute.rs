@@ -31,9 +31,8 @@
 //!
 //! The pass runs once per analysis, *after* cache write-back staging
 //! (cached reports are stage-one reports, so warm runs re-refute
-//! deterministically and stay byte-identical to cold runs), after the
-//! shard merge in multi-process mode (workers skip it, exactly like the
-//! callback pass), and at the end of incremental re-analysis. There it
+//! deterministically and stay byte-identical to cold runs), and at the
+//! end of incremental re-analysis. There it
 //! judges only the reports of re-analyzed functions: a carried-over
 //! report keeps the verdict it already has, because its function lies
 //! outside the affected cone, and the cone is closed under callers, so

@@ -354,38 +354,6 @@ pub fn write_store_bytes(
     Ok(assemble_store(schema, &records))
 }
 
-/// Unions several stores into one container's bytes, first-wins by
-/// name (earlier `parts` shadow later ones). Every payload is copied as
-/// verified raw bytes — nothing is parsed — so merging P shard delta
-/// stores costs O(total index) + one pass over the payload bytes. All
-/// parts must carry `schema`; mixing schemas is a hard error, not a
-/// silent cold-cache.
-///
-/// # Errors
-///
-/// Returns an I/O error on a schema mismatch or if any payload fails
-/// its checksum.
-pub fn union_store_bytes(schema: &str, parts: &[&SummaryStore]) -> io::Result<Vec<u8>> {
-    let mut chosen: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for (p, store) in parts.iter().enumerate() {
-        if store.schema() != schema {
-            return Err(bad(&format!(
-                "union part {p} has schema `{}`, expected `{schema}`",
-                store.schema()
-            )));
-        }
-        for (slot, entry) in store.index.iter().enumerate() {
-            chosen.entry(entry.name.as_str()).or_insert((p, slot));
-        }
-    }
-    let mut records: Vec<(&str, u128, Vec<u8>)> = Vec::with_capacity(chosen.len());
-    for (name, (p, slot)) in &chosen {
-        let (entry, payload) = parts[*p].read_raw(*slot)?;
-        records.push((name, entry.key, payload));
-    }
-    Ok(assemble_store(schema, &records))
-}
-
 /// Serializes sorted `(name, key, payload)` records into RIDSS1
 /// container bytes: header, checksummed index, concatenated payloads.
 fn assemble_store(schema: &str, records: &[(&str, u128, Vec<u8>)]) -> Vec<u8> {
@@ -495,32 +463,6 @@ mod tests {
         let store = SummaryStore::from_bytes(bytes).unwrap();
         assert!(store.read_entry("a").unwrap().is_some());
         assert!(store.read_entry("b").is_err());
-    }
-
-    #[test]
-    fn union_is_first_wins_and_raw() {
-        let a = store_with(&[("a", 1), ("b", 2)]);
-        let b = store_with(&[("b", 20), ("c", 3)]);
-        let c = store_with(&[("c", 30), ("d", 4)]);
-        let bytes = union_store_bytes("test-schema/v1", &[&a, &b, &c]).unwrap();
-        let merged = SummaryStore::from_bytes(bytes).unwrap();
-        assert_eq!(merged.names().collect::<Vec<_>>(), vec!["a", "b", "c", "d"]);
-        assert_eq!(merged.key_of("b"), Some(2), "first part wins");
-        assert_eq!(merged.key_of("c"), Some(3), "first part wins");
-        assert_eq!(merged.read_entry("d").unwrap().unwrap().summary.func, "d");
-        // Union of one part round-trips to byte-identical container.
-        let solo = union_store_bytes("test-schema/v1", &[&a]).unwrap();
-        let resident: BTreeMap<String, CacheEntry> =
-            [("a", 1u128), ("b", 2)].iter().map(|&(n, k)| (n.to_owned(), entry(n, k))).collect();
-        assert_eq!(solo, write_store_bytes("test-schema/v1", &resident, None).unwrap());
-        // Mixed schemas are a hard error.
-        let foreign = {
-            let resident: BTreeMap<String, CacheEntry> =
-                [("z", 9u128)].iter().map(|&(n, k)| (n.to_owned(), entry(n, k))).collect();
-            SummaryStore::from_bytes(write_store_bytes("other/v9", &resident, None).unwrap())
-                .unwrap()
-        };
-        assert!(union_store_bytes("test-schema/v1", &[&a, &foreign]).is_err());
     }
 
     #[test]

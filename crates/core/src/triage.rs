@@ -24,8 +24,8 @@ const HASH_VERSION: &str = "rid-report-hash/v1";
 /// constraint/model, and provenance are deliberately excluded: they vary
 /// with enumeration details that do not change *which bug* is reported.
 ///
-/// Guarantees (pinned by tests): equal across `--threads`, `--processes`,
-/// warm vs cold cache, and edits to unrelated functions. Non-guarantees:
+/// Guarantees (pinned by tests): equal across `--threads`, warm vs cold
+/// cache, and edits to unrelated functions. Non-guarantees:
 /// the hash moves when the pair's trace shape, refcount, or enclosing
 /// function changes — renaming a function is a new finding.
 #[must_use]

@@ -90,6 +90,18 @@ pub fn parse_module(source: &str) -> Result<Module, FrontendError> {
     Ok(module)
 }
 
+/// Parses several RIL sources one by one, as the iterator is advanced.
+/// An error names the offending source's index, the way
+/// [`parse_program`]'s errors do.
+pub fn parse_sources<'a, I: IntoIterator<Item = &'a str>>(
+    sources: I,
+) -> impl Iterator<Item = Result<Module, FrontendError>> + use<'a, I> {
+    sources
+        .into_iter()
+        .enumerate()
+        .map(|(index, source)| parse_module(source).map_err(|e| e.in_source(index)))
+}
+
 /// Parses several RIL sources and links them into a [`Program`]
 /// (weak-symbol merging per §5.3 of the paper).
 ///
@@ -101,9 +113,8 @@ pub fn parse_program<'a>(
     sources: impl IntoIterator<Item = &'a str>,
 ) -> Result<Program, FrontendError> {
     let mut program = Program::new();
-    for (index, source) in sources.into_iter().enumerate() {
-        let module = parse_module(source).map_err(|e| e.in_source(index))?;
-        program.link(module).map_err(|e: ProgramError| FrontendError::link(index, &e))?;
+    for (index, module) in parse_sources(sources).enumerate() {
+        program.link(module?).map_err(|e: ProgramError| FrontendError::link(index, &e))?;
     }
     Ok(program)
 }

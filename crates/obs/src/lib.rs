@@ -29,7 +29,4 @@ pub mod trace;
 
 pub use metrics::{Histogram, Registry};
 pub use profile::{max_value_by_name, self_times, PhaseProfile};
-pub use trace::{
-    chrome_json_merged, drain, enable, enabled, event, span, ChromeLane, SpanKind, Trace,
-    TraceEvent,
-};
+pub use trace::{drain, enable, enabled, event, span, SpanKind, Trace, TraceEvent};

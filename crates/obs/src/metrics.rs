@@ -210,9 +210,7 @@ impl Registry {
     /// by max (point-in-time values observed by concurrent processes are
     /// not summable), histograms merge bucket-exactly. The operation is
     /// associative and commutative, so K shard registries reduce to the
-    /// same result in any order — what lets the multi-process
-    /// coordinator fold worker telemetry without caring about join
-    /// order.
+    /// same result in any order.
     pub fn merge(&mut self, other: &Registry) {
         for (k, &v) in &other.counters {
             self.count(k, v);
@@ -518,8 +516,7 @@ mod tests {
     /// Property test over K randomly generated shard registries: any
     /// merge order reduces to the same registry, and every histogram's
     /// count/sum/min/max exactly equal recording all samples into one
-    /// registry directly (the contract the multi-process coordinator and
-    /// the daemon's per-shard fold both rely on).
+    /// registry directly.
     #[test]
     fn merging_k_shard_registries_is_order_free_and_sum_exact() {
         // Deterministic xorshift so failures reproduce.

@@ -399,21 +399,6 @@ pub fn flush_counts() -> (usize, usize) {
     (PARTICIPATING.load(Ordering::Relaxed), FLUSHED_THREADS.load(Ordering::Relaxed))
 }
 
-/// Debug-assert the flush census balances (after flushing the calling
-/// thread). Call at points where every spawned worker is known to have
-/// exited — the end of a scoped-worker region, or a shard worker's exit
-/// path — to catch span loss in development builds. Free of effect in
-/// release builds beyond the (idempotent) self-flush.
-pub fn assert_all_flushed() {
-    flush_thread();
-    let (participating, flushed) = flush_counts();
-    debug_assert_eq!(
-        participating, flushed,
-        "trace span loss: {participating} thread(s) recorded events but only \
-         {flushed} flushed — a worker exited without calling flush_thread()"
-    );
-}
-
 /// Collect everything recorded so far into a [`Trace`], sorted by start
 /// ticket. Flushes the calling thread first; other threads contribute
 /// whatever they flushed via [`flush_thread`] or thread exit.
@@ -501,92 +486,39 @@ impl Trace {
     /// format). Spans become complete (`ph:"X"`) events, instants become
     /// thread-scoped instant (`ph:"i"`) events; timestamps are
     /// microseconds as the format requires. Loads directly in
-    /// `chrome://tracing` and Perfetto. Single-process traces render
-    /// under pid lane 1; for a multi-process timeline use
-    /// [`chrome_json_merged`].
+    /// `chrome://tracing` and Perfetto. Every event renders under pid
+    /// lane 1.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
-        push_chrome_events(&mut out, &self.events, 1, true);
+        for (i, e) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let ts = e.start_ns as f64 / 1000.0;
+            if e.instant {
+                out.push_str(&format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"value\":{}}}}}",
+                    json_escape(&e.name),
+                    e.kind.label(),
+                    ts,
+                    e.thread,
+                    e.value,
+                ));
+            } else {
+                out.push_str(&format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"value\":{}}}}}",
+                    json_escape(&e.name),
+                    e.kind.label(),
+                    ts,
+                    e.dur_ns as f64 / 1000.0,
+                    e.thread,
+                    e.value,
+                ));
+            }
+        }
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
         out
     }
-}
-
-fn push_chrome_events(out: &mut String, events: &[TraceEvent], pid: u64, mut first: bool) {
-    for e in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let ts = e.start_ns as f64 / 1000.0;
-        if e.instant {
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"value\":{}}}}}",
-                json_escape(&e.name),
-                e.kind.label(),
-                ts,
-                pid,
-                e.thread,
-                e.value,
-            ));
-        } else {
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"value\":{}}}}}",
-                json_escape(&e.name),
-                e.kind.label(),
-                ts,
-                e.dur_ns as f64 / 1000.0,
-                pid,
-                e.thread,
-                e.value,
-            ));
-        }
-    }
-}
-
-/// One process lane of a merged multi-process Chrome trace.
-pub struct ChromeLane<'a> {
-    /// Chrome `pid` for the lane — use the real OS process id so the
-    /// coordinator and each shard worker render as distinct lanes.
-    pub pid: u64,
-    /// Lane label, shown by Chrome as the process name (e.g.
-    /// `rid coordinator`, `shard worker 0.2`).
-    pub name: String,
-    /// The lane's events (each process's drained trace).
-    pub events: &'a [TraceEvent],
-}
-
-/// Stitch per-process traces into one Chrome `trace_event` JSON: each
-/// lane gets a `process_name` metadata event plus all its events under
-/// its own `pid`, so a `--processes 4` run reads as a single timeline
-/// with the coordinator and every shard worker as separate lanes. The
-/// shared `trace_id` that tied the processes together is recorded in
-/// `otherData` (and shows up in Perfetto's trace info).
-///
-/// Timestamps are left as each process recorded them — every process
-/// measures from its own trace epoch (its first enable), so lanes are
-/// aligned to process start rather than to one global clock. Relative
-/// ordering *within* a lane is exact.
-#[must_use]
-pub fn chrome_json_merged(lanes: &[ChromeLane<'_>], trace_id: u64) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for lane in lanes {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-            lane.pid,
-            json_escape(&lane.name),
-        ));
-        push_chrome_events(&mut out, lane.events, lane.pid, false);
-    }
-    out.push_str(&format!(
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"trace_id\":\"{trace_id:016x}\"}}}}"
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -698,45 +630,11 @@ mod tests {
         });
         event(SpanKind::Exec, "main", 0);
         disable();
-        assert_all_flushed();
+        flush_thread();
         let (participating, flushed) = flush_counts();
         assert_eq!(participating, 4, "3 workers + the main thread recorded");
         assert_eq!(participating, flushed);
         drop(drain());
-    }
-
-    #[test]
-    fn merged_chrome_trace_has_one_lane_per_process() {
-        let _g = lock();
-        enable(DEFAULT_CAPACITY);
-        {
-            let _s = span(SpanKind::Exec, "coord");
-        }
-        disable();
-        let coord = drain();
-        let worker_events = vec![TraceEvent {
-            kind: SpanKind::Exec,
-            name: "shard".to_owned(),
-            thread: 0,
-            seq: 0,
-            start_ns: 10,
-            dur_ns: 20,
-            instant: false,
-            value: 0,
-        }];
-        let merged = chrome_json_merged(
-            &[
-                ChromeLane { pid: 100, name: "rid coordinator".to_owned(), events: &coord.events },
-                ChromeLane { pid: 200, name: "shard worker 0.0".to_owned(), events: &worker_events },
-            ],
-            0xabcd,
-        );
-        assert!(merged.contains("\"process_name\""));
-        assert!(merged.contains("\"pid\":100"));
-        assert!(merged.contains("\"pid\":200"));
-        assert!(merged.contains("\"name\":\"rid coordinator\""));
-        assert!(merged.contains("\"trace_id\":\"000000000000abcd\""));
-        assert!(!merged.contains(",,"), "no empty slots between events");
     }
 
     #[test]
@@ -762,5 +660,42 @@ mod tests {
         let norm = t.to_jsonl_normalized();
         assert!(norm.contains("\"start_ns\":0"));
         assert!(norm.contains("\"start_ns\":1"));
+    }
+
+    #[test]
+    fn chrome_json_renders_every_event_in_lane_one() {
+        let empty = Trace { events: Vec::new(), dropped: 0 };
+        assert_eq!(empty.to_chrome_json(), "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+        let at = |kind, name: &str, thread, start_ns, dur_ns, instant, value| TraceEvent {
+            kind,
+            name: name.to_owned(),
+            thread,
+            seq: 0,
+            start_ns,
+            dur_ns,
+            instant,
+            value,
+        };
+        let trace = Trace {
+            events: vec![
+                at(SpanKind::Serve, "ping", 0, 1_000, 2_500, false, 0),
+                at(SpanKind::Fault, "panic:f", 2, 4_000, 0, true, 7),
+                at(SpanKind::Snapshot, "gen", 1, 5_250, 1_000, false, 3),
+            ],
+            dropped: 0,
+        };
+        assert_eq!(
+            trace.to_chrome_json(),
+            concat!(
+                "{\"traceEvents\":[",
+                "{\"name\":\"ping\",\"cat\":\"serve\",\"ph\":\"X\",\"ts\":1.000,\"dur\":2.500,",
+                "\"pid\":1,\"tid\":0,\"args\":{\"value\":0}},",
+                "{\"name\":\"panic:f\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":4.000,",
+                "\"pid\":1,\"tid\":2,\"args\":{\"value\":7}},",
+                "{\"name\":\"gen\",\"cat\":\"snapshot\",\"ph\":\"X\",\"ts\":5.250,\"dur\":1.000,",
+                "\"pid\":1,\"tid\":1,\"args\":{\"value\":3}}",
+                "],\"displayTimeUnit\":\"ms\"}",
+            )
+        );
     }
 }
