@@ -59,17 +59,10 @@ impl Condvar {
         self.inner.notify_all();
     }
 
-    /// Waits until notified or `timeout` elapses, whichever comes first;
-    /// returns the re-acquired guard.
-    pub fn wait_for<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: std::time::Duration,
-    ) -> MutexGuard<'a, T> {
-        self.inner
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0
+    /// Releases the lock, blocks until notified (or spuriously woken),
+    /// and returns the re-acquired guard.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.inner.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -123,6 +116,24 @@ mod tests {
         assert_eq!(l.read().len(), 1);
         l.write().push(2);
         assert_eq!(l.into_inner(), vec![1, 2]);
+    }
+
+    #[test]
+    fn condvar_wait_hands_the_guard_back() {
+        let pair = std::sync::Arc::new((Mutex::new(false), Condvar::new()));
+        let waker = {
+            let pair = pair.clone();
+            std::thread::spawn(move || {
+                *pair.0.lock() = true;
+                pair.1.notify_one();
+            })
+        };
+        let mut ready = pair.0.lock();
+        while !*ready {
+            ready = pair.1.wait(ready);
+        }
+        drop(ready);
+        waker.join().unwrap();
     }
 
     #[test]

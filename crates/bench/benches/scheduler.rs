@@ -1,10 +1,10 @@
-//! Criterion benchmark for the dependency-driven work-stealing
-//! scheduler on its worst case: a **wide, flat** call graph — thousands
-//! of independent leaf functions, each a trivial get/put pair. Per-task
-//! work is tiny, so the measurement is dominated by scheduler overhead
-//! (seeding, deque traffic, stealing, counter decrements), which is
-//! exactly what this bench pins down: 1-thread dispatch cost vs the
-//! 8-thread work-stealing path on the same graph.
+//! Criterion benchmark for the parallel pool on its worst case: a
+//! **wide, flat** call graph — thousands of independent leaf functions,
+//! each a trivial get/put pair. Per-task work is tiny, so the
+//! measurement is dominated by dispatch overhead (seeding, one pool lock
+//! per component, condvar wake-ups, count decrements), which is exactly
+//! what this bench pins down: the 1-thread scan vs the 8-thread pool on
+//! the same graph.
 
 use std::fmt::Write as _;
 

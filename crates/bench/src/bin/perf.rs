@@ -1,5 +1,5 @@
 //! Regenerates the **§6.5 performance** claim and persists a
-//! machine-readable baseline (schema `rid-bench-perf/v10`).
+//! machine-readable baseline (schema `rid-bench-perf/v11`).
 //!
 //! For each corpus scale the binary parses the seeded kernel corpus once,
 //! then runs the whole-program analysis `--iters` times per execution
@@ -7,7 +7,7 @@
 //! *minimum* wall-clock per phase (minimum-of-N is the standard noise
 //! filter for sub-second runs). At the largest scale it additionally
 //! measures a **thread-scaling sweep** (1/2/4/8 workers through the
-//! work-stealing scheduler) and a **cold-vs-warm cache pair**: one run
+//! parallel pool) and a **cold-vs-warm cache pair**: one run
 //! populating a fresh [`rid_core::SummaryCache`], then re-runs of the
 //! unchanged corpus answering from it. The human-readable table goes to
 //! stdout; the machine-readable baseline is written to `BENCH_perf.json`
@@ -34,8 +34,7 @@
 //! whose worker count exceeds `host_cpus` carries
 //! `scaling_asserted: false`, telling the validator (and the reader)
 //! that no speedup claim is being made for it. The thread sweep also
-//! reports the scheduler's steal/idle telemetry (successful steals,
-//! scan misses, mean batch size, total parked nanoseconds).
+//! reports the workers' total parked nanoseconds.
 //!
 //! Since v9 the baseline carries a [`RefuteRecord`]: the wall-clock
 //! cost of the second-stage refutation pass at the largest scale
@@ -49,6 +48,9 @@
 //! v10 drops the multi-process sweep (the `--processes` mode is gone)
 //! and the store record's timing of the legacy JSON cache format, which
 //! nothing writes any more.
+//!
+//! v11 drops the thread sweep's steal counts, scan misses and mean steal
+//! batch: the parallel pool shares one ready stack and steals nothing.
 
 use std::time::Instant;
 
@@ -201,20 +203,15 @@ struct ThreadRecord {
     threads: usize,
     /// Analyze wall-clock (seconds, min over iters).
     analyze_s: f64,
-    /// `analyze_s(1 thread) / analyze_s(this)` — work-stealing scaling.
+    /// `analyze_s(1 thread) / analyze_s(this)`.
     speedup_vs_1: f64,
     /// Whether this cell is a scaling claim at all: `true` iff the host
     /// offers at least `threads` CPUs. On a 1-core runner every
     /// multi-worker cell is `false` — the numbers are recorded for
     /// continuity but assert nothing.
     scaling_asserted: bool,
-    /// Successful steals across all workers (best iteration).
-    steals: u64,
-    /// Victim scans that found every deque empty (worker then parked).
-    scan_misses: u64,
-    /// Mean items drained per successful steal (0 when none happened).
-    steal_batch_mean: f64,
-    /// Total nanoseconds workers spent parked waiting for work.
+    /// Total nanoseconds workers spent parked waiting for work (best
+    /// iteration).
     idle_wait_ns: u64,
 }
 
@@ -403,7 +400,7 @@ struct PerfBaseline {
     /// thread-sweep speedup (a 1-core runner can only show ~1.0x).
     host_cpus: usize,
     scales: Vec<ScaleRecord>,
-    /// Work-stealing scheduler scaling at the largest measured scale.
+    /// Parallel-pool scaling at the largest measured scale.
     thread_sweep: Vec<ThreadRecord>,
     /// Persistent-cache cold/warm pair at the largest measured scale.
     cache: CacheRecord,
@@ -501,9 +498,9 @@ fn measure_analyze_s(program: &rid_ir::Program, threads: usize, iters: usize) ->
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One thread-sweep cell: minimum analyze wall-clock plus the scheduler
-/// telemetry of that best iteration (1-thread runs take the sequential
-/// fast path and legitimately report no steals).
+/// One thread-sweep cell: minimum analyze wall-clock plus the idle time
+/// of that best iteration (1-thread runs take the sequential path and
+/// park nowhere).
 fn measure_thread_cell(
     program: &rid_ir::Program,
     threads: usize,
@@ -520,19 +517,13 @@ fn measure_thread_cell(
         }
     }
     let best = best.expect("at least one iteration");
-    let profiles = &best.stats.worker_profiles;
-    let steals: u64 = profiles.iter().map(|p| p.steals).sum();
-    let scan_misses: u64 = profiles.iter().map(|p| p.scan_misses).sum();
-    let batch_sum: u64 = profiles.iter().map(|p| p.steal_batch.sum).sum();
-    let idle_wait_ns: u64 = profiles.iter().map(|p| p.idle_wait_ns.sum).sum();
+    let idle_wait_ns: u64 =
+        best.stats.worker_profiles.iter().map(|p| p.idle_wait_ns.sum).sum();
     ThreadRecord {
         threads,
         analyze_s: best.stats.analyze_time.as_secs_f64(),
         speedup_vs_1: 0.0, // stamped by the caller once the 1-thread cell exists
         scaling_asserted: threads <= host_cpus,
-        steals,
-        scan_misses,
-        steal_batch_mean: if steals > 0 { batch_sum as f64 / steals as f64 } else { 0.0 },
         idle_wait_ns,
     }
 }
@@ -865,7 +856,7 @@ fn main() {
     }
     let largest = largest.expect("at least one scale");
 
-    // Thread sweep: the work-stealing scheduler at the largest scale.
+    // Thread sweep: the parallel pool at the largest scale.
     eprintln!("thread sweep...");
     let mut thread_sweep = Vec::new();
     let mut analyze_1t = None;
@@ -969,15 +960,11 @@ fn main() {
     println!("scheduler thread sweep (largest scale, auto mode; ceiling = host cpus):");
     for record in &thread_sweep {
         println!(
-            "  {} thread(s): {:.3}s ({:.2}x vs 1 thread{}; {} steal(s), mean batch {:.1}, \
-             {} scan miss(es), {:.1}ms idle)",
+            "  {} thread(s): {:.3}s ({:.2}x vs 1 thread{}; {:.1}ms idle)",
             record.threads,
             record.analyze_s,
             record.speedup_vs_1,
             if record.scaling_asserted { "" } else { ", not asserted: host too small" },
-            record.steals,
-            record.steal_batch_mean,
-            record.scan_misses,
             record.idle_wait_ns as f64 / 1e6,
         );
     }
@@ -1045,7 +1032,7 @@ fn main() {
         .unwrap_or(serde_json::Value::Null);
 
     let baseline = PerfBaseline {
-        schema: "rid-bench-perf/v10".to_owned(),
+        schema: "rid-bench-perf/v11".to_owned(),
         seed,
         threads,
         iters,

@@ -17,11 +17,10 @@
 //! ```
 //!
 //! With `--trace-file <path.jsonl>` the binary profiles a *daemon*
-//! trace instead of running its own corpus: the JSONL flushed by
-//! `rid analyze --trace` (the `.jsonl` sidecar) is parsed back into
-//! events and aggregated over the serve span kinds — per-request
-//! `serve` spans plus the durability kinds (`snapshot`, `restore`,
-//! `journal-replay`).
+//! trace instead of running its own corpus: the `.jsonl` sidecar that
+//! `rid serve --trace <path>` writes is parsed back into events and
+//! aggregated over the serve span kinds — per-request `serve` spans plus
+//! the durability kinds (`snapshot`, `restore`, `journal-replay`).
 //!
 //! Unlike `perf` this binary makes no timing claims and writes no
 //! baseline — it is the interactive "why is this slow?" entry point
@@ -180,9 +179,9 @@ fn main() {
     println!("{}", format_table(&["function", "paths"], &rows));
     println!();
 
-    // 3. Scheduler balance: what each worker did and what it cost to
-    //    keep it fed (empty on 1-thread runs — the sequential fast path
-    //    never spins workers up).
+    // 3. Pool balance: what each worker ran and how long it parked
+    //    (empty on 1-thread runs — the sequential path spawns no
+    //    workers).
     if !result.stats.worker_profiles.is_empty() {
         println!("scheduler workers ({} thread(s)):", threads);
         let rows: Vec<Vec<String>> = result
@@ -190,29 +189,15 @@ fn main() {
             .worker_profiles
             .iter()
             .map(|p| {
-                let mean_batch = if p.steals > 0 {
-                    format!("{:.1}", p.steal_batch.sum as f64 / p.steals as f64)
-                } else {
-                    "-".to_owned()
-                };
                 vec![
                     format!("w{}", p.worker),
                     p.comps.to_string(),
-                    p.steals.to_string(),
-                    mean_batch,
-                    p.scan_misses.to_string(),
                     ms(p.idle_wait_ns.sum),
                     ms(p.idle_wait_ns.max),
                 ]
             })
             .collect();
-        println!(
-            "{}",
-            format_table(
-                &["worker", "comps", "steals", "mean batch", "scan misses", "idle", "idle max"],
-                &rows
-            )
-        );
+        println!("{}", format_table(&["worker", "comps", "idle", "idle max"], &rows));
         println!();
     }
 

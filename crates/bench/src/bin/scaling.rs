@@ -1,7 +1,7 @@
 //! `scaling` — the CI gate that parallelism does not cost: 2 workers
 //! must not be slower than 1 beyond the noise floor.
 //!
-//! Measures the work-stealing scheduler at 1 and 2 workers on the seeded
+//! Measures the parallel pool at 1 and 2 workers on the seeded
 //! kernel corpus and **fails (exit 1)** if the 2-worker run is slower
 //! than the 1-worker run beyond the measured noise floor — but only on
 //! hosts that actually have 2+ CPUs. On a single-core runner the

@@ -1,26 +1,7 @@
 //! `rid` — the command-line front door to the RID reproduction.
 //!
-//! ```text
-//! rid analyze <file.ril>... [--apis dpm|python|none] [--summaries db.json]
-//!             [--save-summaries out.json] [--save-state s.json]
-//!             [--threads N] [--steal-batch N] [--no-selective]
-//!             [--separate] [--callbacks] [--json] [--no-refute]
-//!             [--deadline-ms N] [--fuel N] [--global-deadline-ms N]
-//!             [--exec-mode auto|tree|per-path] [--fault-plan plan.json]
-//!             [--cache cache.json] [--trace out.json] [--metrics out.json]
-//! rid explain --state s.json [<file.ril>...] [--function <name>]
-//! rid diff <old-state.json> <new-state.json> [--ignore .ridignore] [--json]
-//! rid suppress <hash> [--file .ridignore]
-//! rid classify <file.ril>... [--apis dpm|python|none]
-//! rid summarize <file.ril>... --function <name> [--apis dpm|python|none]
-//! rid baseline <file.ril>... [--apis python]
-//! rid recheck <file.ril>... --state s.json --changed f,g [--save-state s.json]
-//! rid mine <file.ril>... [--field refs] [--save-summaries out.json]
-//! rid gen-kernel [--seed N] [--tiny] --out <dir>
-//! rid serve --socket <path> [--queue-cap N]   (or --stdio)
-//! rid client --socket <path> --op <op> [--project p] [<file.ril>...]
-//!            [--function <name>] [--deadline-ms N]
-//! ```
+//! Run `rid` with no arguments for the commands and their options (the
+//! text of `usage()` below).
 //!
 //! `rid serve` keeps analysis state resident between requests: one
 //! registered project per name, warm summary cache, batched `patch`
@@ -28,7 +9,8 @@
 //! at the repository root. `rid client` wraps one request/response
 //! round-trip over the daemon's Unix socket.
 //!
-//! `--trace <path>` records the run with [`rid_obs`] and writes a Chrome
+//! `--trace <path>` (`analyze` and `serve`) records the run with
+//! [`rid_obs`] and writes a Chrome
 //! `trace_event` file to `<path>` (load it in `chrome://tracing` or
 //! Perfetto) plus the raw JSONL event log to `<path>.jsonl`.
 //! `--metrics <path>` writes the metrics-registry snapshot as JSON.
@@ -59,10 +41,9 @@ fn usage() -> ExitCode {
         "usage:
   rid analyze <file.ril>... [--apis dpm|python|none] [--summaries db.json]
               [--save-summaries out.json] [--save-state s.json]
-              [--threads N] [--steal-batch N] [--no-selective]
-              [--separate] [--callbacks] [--json] [--no-refute]
-              [--deadline-ms N] [--fuel N] [--global-deadline-ms N]
-              [--exec-mode auto|tree|per-path] [--fault-plan plan.json]
+              [--threads N] [--no-selective] [--separate] [--callbacks]
+              [--json] [--no-refute] [--deadline-ms N] [--fuel N]
+              [--global-deadline-ms N] [--fault-plan plan.json]
               [--cache cache.json] [--trace out.json] [--metrics out.json]
   rid explain --state s.json [<file.ril>...] [--function <name>]
   rid explain --flight-recorder <state-dir|dir|file.frec>
@@ -105,8 +86,7 @@ struct Args {
 /// Read by [`predefined_apis`].
 const API_OPTIONS: &[&str] = &["apis", "summaries"];
 /// Read by [`analysis_options`].
-const ANALYSIS_OPTIONS: &[&str] =
-    &["deadline-ms", "global-deadline-ms", "fuel", "exec-mode", "threads", "steal-batch"];
+const ANALYSIS_OPTIONS: &[&str] = &["deadline-ms", "global-deadline-ms", "fuel", "threads"];
 /// Read by [`analysis_options`].
 const ANALYSIS_FLAGS: &[&str] = &["no-selective", "callbacks", "no-refute"];
 
@@ -286,20 +266,12 @@ fn analysis_options(args: &Args) -> Result<AnalysisOptions, String> {
         global_deadline: ms_option("global-deadline-ms")?,
         solver_fuel: parsed(args, "fuel", "a number")?,
     };
-    let exec_mode = match args.options.get("exec-mode").map(String::as_str) {
-        None | Some("auto") => rid_core::ExecMode::Auto,
-        Some("tree") => rid_core::ExecMode::Tree,
-        Some("per-path") => rid_core::ExecMode::PerPath,
-        Some(other) => return Err(format!("unknown --exec-mode value `{other}`")),
-    };
     Ok(AnalysisOptions {
         selective: !args.flags.iter().any(|f| f == "no-selective"),
         check_callbacks: args.flags.iter().any(|f| f == "callbacks"),
         refute: !args.flags.iter().any(|f| f == "no-refute"),
         threads: parsed(args, "threads", "a count")?.unwrap_or(1),
-        steal_batch: parsed(args, "steal-batch", "a count")?.unwrap_or(0),
         budget,
-        exec_mode,
         ..Default::default()
     })
 }
@@ -425,24 +397,7 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         eprintln!("analysis state saved to {path}");
     }
 
-    let trace = trace_path.as_ref().map(|_| {
-        rid_obs::trace::disable();
-        rid_obs::drain()
-    });
-    if let (Some(path), Some(trace)) = (&trace_path, &trace) {
-        std::fs::write(path, trace.to_chrome_json())
-            .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
-        let jsonl_path = PathBuf::from(format!("{}.jsonl", path.display()));
-        std::fs::write(&jsonl_path, trace.to_jsonl())
-            .map_err(|e| format!("--trace: {}: {e}", jsonl_path.display()))?;
-        eprintln!(
-            "trace: {} event(s) ({} dropped) written to {} (+ {})",
-            trace.events.len(),
-            trace.dropped,
-            path.display(),
-            jsonl_path.display()
-        );
-    }
+    let trace = trace_path.as_deref().map(write_trace).transpose()?;
     if let Some(path) = &metrics_path {
         let mut registry = rid_core::registry_from_result(&result);
         if let Some(trace) = &trace {
@@ -453,6 +408,28 @@ fn cmd_analyze(args: &Args) -> Result<u8, String> {
         eprintln!("metrics written to {}", path.display());
     }
     Ok(finish_analysis(&result))
+}
+
+/// Stops `--trace` recording and writes the drained trace twice: the
+/// Chrome `trace_event` JSON to `path` and the JSONL event log (what
+/// `rid-bench profile --trace-file` reads) to `<path>.jsonl`. Returns the
+/// trace for `--metrics`.
+fn write_trace(path: &Path) -> Result<rid_obs::Trace, String> {
+    rid_obs::trace::disable();
+    let trace = rid_obs::drain();
+    let jsonl_path = PathBuf::from(format!("{}.jsonl", path.display()));
+    std::fs::write(path, trace.to_chrome_json())
+        .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
+    std::fs::write(&jsonl_path, trace.to_jsonl())
+        .map_err(|e| format!("--trace: {}: {e}", jsonl_path.display()))?;
+    eprintln!(
+        "trace: {} event(s) ({} dropped) written to {} (+ {})",
+        trace.events.len(),
+        trace.dropped,
+        path.display(),
+        jsonl_path.display()
+    );
+    Ok(trace)
 }
 
 /// `rid explain`: render the provenance record of every report in a
@@ -865,7 +842,7 @@ fn cmd_serve(args: &Args) -> Result<u8, String> {
     {
         // `--trace <path>`: record daemon-side spans (snapshot, restore,
         // journal replay, per-request execution) for the whole serve
-        // lifetime and write one Chrome trace on clean exit.
+        // lifetime and write them on clean exit.
         let trace_path = args.options.get("trace").map(PathBuf::from);
         if trace_path.is_some() {
             rid_obs::trace::enable(rid_obs::trace::DEFAULT_CAPACITY);
@@ -873,16 +850,7 @@ fn cmd_serve(args: &Args) -> Result<u8, String> {
         eprintln!("rid serve: listening on {socket}");
         rid_serve::serve_unix(Path::new(socket), config).map_err(|e| e.to_string())?;
         if let Some(path) = &trace_path {
-            rid_obs::trace::disable();
-            let trace = rid_obs::drain();
-            std::fs::write(path, trace.to_chrome_json())
-                .map_err(|e| format!("--trace: {}: {e}", path.display()))?;
-            eprintln!(
-                "trace: {} event(s) ({} dropped) written to {}",
-                trace.events.len(),
-                trace.dropped,
-                path.display()
-            );
+            write_trace(path)?;
         }
         eprintln!("rid serve: drained and exiting");
         Ok(EXIT_CLEAN)

@@ -371,13 +371,14 @@ fn bad_usage_exits_3() {
     let file = write(&dir, "clean.ril", CLEAN);
     let file = file.to_str().unwrap();
     let out = dir.join("corpus");
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["analyze", file, "--threads", "two"], "--threads expects"),
-        (&["analyze", file, "--steal-batch", "x"], "--steal-batch expects"),
         (&["gen-kernel", "--seed", "2O16", "--out", out.to_str().unwrap()], "--seed expects"),
         (&["analyze", "--jsn", file], "unknown option `--jsn` for `rid analyze`"),
         (&["analyze", file, "--thread", "2"], "unknown option `--thread` for `rid analyze`"),
         (&["analyze", file, "--processes", "2"], "unknown option `--processes` for `rid analyze`"),
+        (&["analyze", file, "--steal-batch", "4"], "unknown option `--steal-batch` for `rid analyze`"),
+        (&["analyze", file, "--exec-mode", "tree"], "unknown option `--exec-mode` for `rid analyze`"),
     ];
     for (args, fragment) in cases {
         let output = rid().args(args).output().unwrap();
@@ -647,4 +648,13 @@ fn serve_trace_is_a_single_lane_chrome_trace() {
         assert_eq!(event["pid"].as_u64(), Some(1), "{event}");
         assert_ne!(event["ph"].as_str(), Some("M"), "no metadata events: {event}");
     }
+    // Like `rid analyze --trace`, the daemon writes the JSONL sidecar that
+    // `rid-bench profile --trace-file` reads, with the same events.
+    let sidecar = std::fs::read_to_string(dir.join("serve.json.jsonl")).unwrap();
+    let parsed = rid_core::parse_trace_jsonl(&sidecar);
+    assert_eq!(parsed.len(), events.len());
+    assert!(
+        parsed.iter().any(|e| e.kind == rid_obs::SpanKind::Serve && e.name == "register:p"),
+        "{sidecar}"
+    );
 }

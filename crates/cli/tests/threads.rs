@@ -1,5 +1,5 @@
-//! Differential suite for `rid analyze --threads N`: the work-stealing
-//! scheduler must be **byte-identical** to a 1-thread plain run — same
+//! Differential suite for `rid analyze --threads N`: the parallel pool
+//! must be **byte-identical** to a 1-thread plain run — same
 //! exit code, same `--json` stdout, same `--save-summaries` DB bytes and
 //! same RIDSS1 `--cache` store bytes — across thread counts, store
 //! temperature (no store, cold, warm) and fault plans (clean,
@@ -148,30 +148,6 @@ fn threads_match_sequential_under_stall_faults() {
         13,
         &FaultPlan { seed: 9, stall_rate: 0.25, ..FaultPlan::none() },
     );
-}
-
-#[test]
-fn steal_batch_does_not_change_output() {
-    let dir = tempdir("steal-batch");
-    let corpus = gen_corpus(&dir, 5);
-    let reference = analyze(&corpus, &dir, "sb-ref", &[], None, None);
-    for batch in ["1", "4", "64"] {
-        let db_path = dir.join(format!("db-sb{batch}.json"));
-        let output = rid()
-            .arg("analyze")
-            .args(&corpus)
-            .args(["--json", "--threads", "4", "--steal-batch", batch, "--save-summaries"])
-            .arg(&db_path)
-            .output()
-            .unwrap();
-        assert_eq!(output.status.code(), Some(reference.code));
-        assert!(output.stdout == reference.stdout, "steal-batch {batch} changed reports");
-        assert!(
-            std::fs::read(&db_path).unwrap() == reference.db,
-            "steal-batch {batch} changed summaries"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--separate` analyzes module groups in dependency order through the

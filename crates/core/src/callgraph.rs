@@ -243,7 +243,7 @@ impl CallGraph {
     /// (callee components have smaller indices), so `callee_comps[c]`
     /// only contains indices `< c` and `caller_comps[c]` only `> c`.
     ///
-    /// This is the dependency structure the work-stealing scheduler
+    /// This is the dependency structure the driver's parallel pool
     /// counts over: a component is ready when every component in its
     /// `callee_comps` has been summarized.
     #[must_use]

@@ -5,18 +5,19 @@
 //! on its path summaries, and accumulates reports.
 //!
 //! Parallelism (§5.3) is **dependency-driven**: the SCC condensation of
-//! the call graph is built once, every component carries a counter of its
-//! unfinished callee components, and a persistent pool of workers (spawned
-//! once per analysis, not once per level) pops ready components from
-//! per-worker deques, stealing from siblings when idle. A component
-//! becomes schedulable the instant its last callee finishes — no level
-//! barrier, so one slow function stalls only its own transitive callers,
-//! never the whole wave. Completed summaries are published into lock-free
-//! per-function slots; the counters guarantee every slot a caller reads is
-//! already set, so the read path takes no lock at all. Recursion is broken
-//! by processing each SCC as one sequential work unit in function-index
-//! order, with calls to not-yet-summarized members falling back to the
-//! default summary — deterministic at every thread count.
+//! the call graph is built once, every component carries a count of its
+//! unfinished callee components, and a pool of workers (spawned once per
+//! analysis, not once per level) pops ready components from one
+//! mutex-guarded stack. A component becomes ready the instant its last
+//! callee finishes — no level barrier, so one slow function stalls only
+//! its own transitive callers, never the whole wave. Completed summaries
+//! are published into per-function `OnceLock` slots before the finishing
+//! worker takes the pool lock, so every slot a caller reads is set before
+//! the caller is popped, and the read path takes no lock at all.
+//! Recursion is broken by processing each SCC as one sequential work unit
+//! in function-index order, with calls to not-yet-summarized members
+//! falling back to the default summary — deterministic at every thread
+//! count.
 //!
 //! The driver is *fault tolerant*: each function is summarized inside a
 //! `catch_unwind` envelope, so a panic poisons only that function, never
@@ -33,9 +34,8 @@
 //! unchanged skip summarization and checking entirely, making warm
 //! re-runs of an unchanged corpus jump straight to the answer.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -77,12 +77,6 @@ pub struct AnalysisOptions {
     /// (default), shared-prefix tree execution, or the standalone per-path
     /// reference mode. All produce identical summaries.
     pub exec_mode: ExecMode,
-    /// Upper bound on how many ready components a worker drains from a
-    /// victim's deque per steal (`0` = auto: steal half the victim's
-    /// queue, capped at [`AUTO_STEAL_CAP`]). Execution-order only — like
-    /// `threads`, deliberately **not** cache-key material (see
-    /// [`crate::cache`]).
-    pub steal_batch: usize,
     /// Run the second-stage refutation pass ([`crate::refute`]) over the
     /// surviving reports (on by default; `--no-refute` disables it). Like
     /// `check_callbacks`, this runs once over the merged reports, and it
@@ -101,17 +95,10 @@ impl Default for AnalysisOptions {
             check_callbacks: false,
             budget: Budget::unlimited(),
             exec_mode: ExecMode::default(),
-            steal_batch: 0,
             refute: true,
         }
     }
 }
-
-/// Batch cap used when [`AnalysisOptions::steal_batch`] is `0` (auto):
-/// steal-half, but never more than this. Half the victim's queue balances
-/// load in O(log n) steals; the cap keeps one steal from hoarding a whole
-/// wavefront behind a single worker when the queue is momentarily deep.
-pub const AUTO_STEAL_CAP: usize = 8;
 
 /// Statistics from one analysis run (§6.5-style reporting).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -167,17 +154,18 @@ pub struct AnalysisStats {
     /// Largest literal depth among snapshotted solvers.
     #[serde(default)]
     pub snapshot_depth_max: usize,
-    /// Components a worker obtained by stealing from a sibling's deque
-    /// (0 in sequential runs).
+    /// Always 0: the parallel pool shares one ready stack, so no worker
+    /// steals. Kept because the benchmark's layer replay still reports
+    /// it as `driver.steals`.
     #[serde(default)]
     pub steals: usize,
-    /// High-water mark of ready components queued across all deques
-    /// (0 in sequential runs).
+    /// High-water mark of the parallel pool's ready stack (0 in
+    /// sequential runs).
     #[serde(default)]
     pub queue_depth_max: usize,
-    /// Per-worker scheduler profiles (steal batch sizes, scan lengths,
-    /// idle waits); empty in sequential runs. Merges by concatenation, so
-    /// a multi-run absorb keeps every worker's record.
+    /// Per-worker scheduler profiles (components run, idle waits); empty
+    /// in sequential runs. Merges by concatenation, so a multi-run absorb
+    /// keeps every worker's record.
     #[serde(default)]
     pub worker_profiles: Vec<WorkerProfile>,
     /// Reports the second-stage refutation pass judged still-satisfiable
@@ -309,24 +297,16 @@ impl HistogramSnapshot {
     }
 }
 
-/// One worker's scheduler profile: what it executed, what it stole, and
-/// how long it idled. Recorded by the work-stealing pool (empty for the
-/// sequential fast path) and surfaced as `sched.w<i>.*` registry
-/// histograms plus the `rid-bench profile` per-worker table.
+/// One worker's scheduler profile: what it executed and how long it
+/// idled. Recorded by the parallel pool (empty for the sequential path)
+/// and surfaced as `sched.w<i>.*` registry entries plus the
+/// `rid-bench profile` per-worker table.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct WorkerProfile {
     /// Worker index (0-based).
     pub worker: usize,
     /// Components this worker executed.
     pub comps: u64,
-    /// Successful steals (each drains one batch from a victim).
-    pub steals: u64,
-    /// Full victim scans that found nothing (the worker then parks).
-    pub scan_misses: u64,
-    /// Batch size per successful steal.
-    pub steal_batch: HistogramSnapshot,
-    /// Victims probed per successful steal (1 = immediate neighbor).
-    pub steal_scan: HistogramSnapshot,
     /// Nanoseconds spent parked per idle wait.
     pub idle_wait_ns: HistogramSnapshot,
 }
@@ -440,170 +420,41 @@ struct WorkerOut {
     fresh: Vec<(usize, u128, Summary, Vec<IppReport>)>,
 }
 
-/// The work-stealing core: per-worker deques of ready components, a
-/// count of unfinished components, and a gate for idle workers.
-///
-/// Invariants (see DESIGN.md §10): a component is pushed exactly once —
-/// by the worker that completes its *last* unfinished callee (the
-/// `remaining` counter's fetch-sub observes 1) or at seed time for leaf
-/// components; `pending` counts scheduled-but-unfinished components and
-/// is the sole termination signal; `queued` is a hint that lets an idle
-/// worker distinguish "all work in flight" from "work available but
-/// momentarily missed", closing the sleep/notify race.
-struct Scheduler {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Components seeded or unlocked but not yet finished.
-    pending: AtomicUsize,
-    /// Components currently sitting in some deque.
-    queued: AtomicUsize,
-    /// High-water mark of `queued` (observability only).
-    depth_max: AtomicUsize,
-    gate: Mutex<()>,
-    idle: Condvar,
-    /// Resolved steal-batch cap ([`AnalysisOptions::steal_batch`], with
-    /// `0` mapped to the steal-half / [`AUTO_STEAL_CAP`] heuristic).
-    steal_cap: usize,
+/// The parallel pool's scheduling state, all behind one mutex. The
+/// worker that finishes a component updates it and pops its next
+/// component in the same critical section; a worker that finds the
+/// stack empty parks on the pool's condvar until a push or the end of
+/// the run wakes it. A finished component's slot is set before its
+/// worker takes the lock, so the lock hand-off orders every callee
+/// publication before the caller is popped.
+struct Pool {
+    /// Ready components, popped LIFO.
+    ready: Vec<usize>,
+    /// Per component: its active callee components not yet finished.
+    remaining: Vec<usize>,
+    /// Active components not yet finished; 0 ends the run.
+    unfinished: usize,
+    /// High-water mark of `ready`.
+    depth_max: usize,
 }
 
-/// What `Scheduler::pop` found: a component plus, when it was stolen, the
-/// steal's shape (for the per-worker profile).
-struct Popped {
-    comp: usize,
-    stolen: Option<StealGrab>,
-}
-
-/// Shape of one successful steal.
-struct StealGrab {
-    /// Components drained from the victim (1 executed now, the rest moved
-    /// onto the thief's own deque).
-    batch: usize,
-    /// Victims probed before one had work (1 = immediate neighbor).
-    scanned: usize,
-}
-
-impl Scheduler {
-    fn new(workers: usize, pending: usize, steal_batch: usize) -> Scheduler {
-        Scheduler {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(pending),
-            queued: AtomicUsize::new(0),
-            depth_max: AtomicUsize::new(0),
-            gate: Mutex::new(()),
-            idle: Condvar::new(),
-            steal_cap: if steal_batch == 0 { AUTO_STEAL_CAP } else { steal_batch },
-        }
-    }
-
-    /// Makes `comp` ready on `worker`'s deque and wakes one sleeper. The
-    /// `queued` increment happens before the push, and the gate is cycled
-    /// before notifying: any worker that checked `queued` too early is
-    /// either still outside the gate (and will re-check) or already
-    /// registered on the condvar (and will be woken).
-    ///
-    /// Ordering: `Relaxed` suffices for the counter itself. `queued` is
-    /// only *decided on* inside the gate (`wait`), and the gate cycle
-    /// below forms a happens-before edge with any waiter that acquires the
-    /// gate after us — which makes the relaxed store visible there. A
-    /// waiter that acquired the gate *before* this cycle may read the old
-    /// count, but then it is already registered on the condvar and the
-    /// `notify_one` (or the 10 ms insurance timeout) wakes it to re-check.
-    fn push(&self, worker: usize, comp: usize) {
-        let depth = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        self.depth_max.fetch_max(depth, Ordering::Relaxed);
-        self.deques[worker].lock().push_back(comp);
-        drop(self.gate.lock());
-        self.idle.notify_one();
-    }
-
-    /// Pops from `worker`'s own deque (LIFO: freshly unlocked components
-    /// are cache-warm) or steals a *batch* from a sibling: half the
-    /// victim's queue up to `steal_cap`, FIFO end (the entries the victim
-    /// would touch last). One stolen component is returned for immediate
-    /// execution; the rest land on the thief's own deque — still counted
-    /// in `queued`, and stealable in turn — so each paid scan amortizes
-    /// over several components instead of one.
-    ///
-    /// Tracing: a successful steal records a `steal` span whose value is
-    /// the batch size; a fruitless full sweep records a `scan` span with
-    /// value 0, so failed scans are distinguishable from steals (and from
-    /// genuine idle parking) in traces.
-    fn pop(&self, worker: usize) -> Option<Popped> {
-        if let Some(c) = self.deques[worker].lock().pop_back() {
-            // Relaxed: see `push` — the count is only decided on under
-            // the gate, whose lock cycle publishes this store.
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-            return Some(Popped { comp: c, stolen: None });
-        }
-        let n = self.deques.len();
-        let mut span = rid_obs::span(rid_obs::SpanKind::Steal, "scan");
-        let mut grabbed: Vec<usize> = Vec::new();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            {
-                let mut vq = self.deques[victim].lock();
-                let take = vq.len().div_ceil(2).clamp(1, self.steal_cap);
-                for _ in 0..take {
-                    match vq.pop_front() {
-                        Some(c) => grabbed.push(c),
-                        None => break,
-                    }
+impl Pool {
+    /// Marks a component finished, given its callers: each active caller
+    /// whose last unfinished callee it was becomes ready. Returns how
+    /// many were pushed.
+    fn finish(&mut self, callers: &[usize], active: &[bool]) -> usize {
+        self.unfinished -= 1;
+        let before = self.ready.len();
+        for &cw in callers {
+            if active[cw] {
+                self.remaining[cw] -= 1;
+                if self.remaining[cw] == 0 {
+                    self.ready.push(cw);
                 }
             }
-            if grabbed.is_empty() {
-                continue;
-            }
-            // Only the component executed now leaves the ready count; the
-            // re-queued remainder stays visible to sleeping workers.
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-            if grabbed.len() > 1 {
-                let mut own = self.deques[worker].lock();
-                for &c in &grabbed[1..] {
-                    own.push_back(c);
-                }
-            }
-            span.set_name("steal");
-            span.set_value(grabbed.len() as u64);
-            return Some(Popped {
-                comp: grabbed[0],
-                stolen: Some(StealGrab { batch: grabbed.len(), scanned: offset }),
-            });
         }
-        span.set_value(0);
-        None
-    }
-
-    /// Marks one component finished; wakes everyone when it was the last
-    /// so idle workers can exit. `AcqRel`: the release half publishes this
-    /// worker's writes to whoever observes the count hit zero, and the
-    /// acquire half makes the observer of the *final* decrement see every
-    /// earlier worker's writes — the termination edge `wait` pairs with.
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            drop(self.gate.lock());
-            self.idle.notify_all();
-        }
-    }
-
-    /// Parks `worker` until work might be available or the run is over.
-    /// Returns `false` when the run is complete.
-    fn wait(&self) -> bool {
-        // Acquire: pairs with the release half of `finish_one`'s final
-        // decrement, so a worker exiting on `pending == 0` sees every
-        // finished component's effects.
-        if self.pending.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        let guard = self.gate.lock();
-        if self.pending.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        if self.queued.load(Ordering::Relaxed) > 0 {
-            return true; // missed work: retry immediately
-        }
-        // The timeout is insurance only; the push/finish protocol above
-        // guarantees a wakeup.
-        let _guard = self.idle.wait_for(guard, Duration::from_millis(10));
-        true
+        self.depth_max = self.depth_max.max(self.ready.len());
+        self.ready.len() - before
     }
 }
 
@@ -783,9 +634,9 @@ pub fn analyze_program_cached(
     let outputs: Vec<WorkerOut> = if active_total == 0 {
         Vec::new()
     } else if workers == 1 {
-        // Sequential fast path: component indices ascend in reverse
+        // Sequential path: component indices ascend in reverse
         // topological order, so a plain ascending scan satisfies every
-        // dependency without counters, deques, or the scheduler gate.
+        // dependency without the pool.
         let mut out = WorkerOut::default();
         for (c, &is_active) in active.iter().enumerate() {
             if is_active {
@@ -794,73 +645,58 @@ pub fn analyze_program_cached(
         }
         vec![out]
     } else {
-        // Dependency counters over *active* callee components only; the
-        // worker that completes a component's last callee is the one
-        // that schedules it (counter hits 0).
-        let remaining: Vec<AtomicUsize> = (0..n_comps)
-            .map(|c| {
-                AtomicUsize::new(
-                    cond.callee_comps[c].iter().filter(|&&cw| active[cw]).count(),
-                )
-            })
+        // Counts over *active* callee components only. The leaves pop
+        // from the highest index down, as in the work-stealing pool this
+        // replaced: popping them upward cost ~10% more CPU at 2 workers on
+        // the benchmark's branchy-refute inputs.
+        let remaining: Vec<usize> = (0..n_comps)
+            .map(|c| cond.callee_comps[c].iter().filter(|&&cw| active[cw]).count())
             .collect();
-        let sched = Scheduler::new(workers, active_total, options.steal_batch);
-        {
-            // Seed: leaf components (no active callees), round-robin so
-            // every worker starts with work.
-            let mut next = 0;
-            for c in 0..n_comps {
-                if active[c] && remaining[c].load(Ordering::Relaxed) == 0 {
-                    sched.queued.fetch_add(1, Ordering::Relaxed);
-                    sched.deques[next % workers].lock().push_back(c);
-                    next += 1;
-                }
-            }
-            sched.depth_max.fetch_max(next, Ordering::Relaxed);
-        }
+        let ready: Vec<usize> =
+            (0..n_comps).filter(|&c| active[c] && remaining[c] == 0).collect();
+        let pool = Mutex::new(Pool {
+            depth_max: ready.len(),
+            ready,
+            remaining,
+            unfinished: active_total,
+        });
+        let wake = Condvar::new();
         let run_worker = |w: usize| -> WorkerOut {
             let mut out = WorkerOut::default();
-            let mut profile = WorkerProfile { worker: w, ..WorkerProfile::default() };
-            let mut steal_batch = rid_obs::Histogram::default();
-            let mut steal_scan = rid_obs::Histogram::default();
+            let mut comps = 0;
             let mut idle_wait_ns = rid_obs::Histogram::default();
+            let mut state = pool.lock();
             loop {
-                let Some(popped) = sched.pop(w) else {
-                    profile.scan_misses += 1;
+                let Some(c) = state.ready.pop() else {
+                    if state.unfinished == 0 {
+                        break;
+                    }
                     let parked = Instant::now();
-                    let more = sched.wait();
+                    state = wake.wait(state);
                     idle_wait_ns.record(parked.elapsed().as_nanos() as u64);
-                    if more {
-                        continue;
-                    }
-                    break;
+                    continue;
                 };
-                if let Some(grab) = &popped.stolen {
-                    out.stats.steals += 1;
-                    profile.steals += 1;
-                    steal_batch.record(grab.batch as u64);
-                    steal_scan.record(grab.scanned as u64);
-                }
-                profile.comps += 1;
-                let c = popped.comp;
+                drop(state);
                 process_comp(c, &mut out);
-                for &cw in &cond.caller_comps[c] {
-                    // AcqRel: the release half publishes this worker's slot
-                    // writes to the thief that schedules `cw`; the acquire
-                    // half on the 1→0 decrement makes every callee's
-                    // publication visible before `cw` runs. (The `OnceLock`
-                    // slots synchronize on their own too — this keeps the
-                    // counter protocol self-sufficient.)
-                    if active[cw] && remaining[cw].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        sched.push(w, cw);
+                comps += 1;
+                state = pool.lock();
+                // This worker pops the last caller it pushed next, so it
+                // wakes one sleeper for each of the others.
+                let pushed = state.finish(&cond.caller_comps[c], &active);
+                if state.unfinished == 0 {
+                    wake.notify_all();
+                } else {
+                    for _ in 1..pushed {
+                        wake.notify_one();
                     }
                 }
-                sched.finish_one();
             }
-            profile.steal_batch = HistogramSnapshot::of(&steal_batch);
-            profile.steal_scan = HistogramSnapshot::of(&steal_scan);
-            profile.idle_wait_ns = HistogramSnapshot::of(&idle_wait_ns);
-            out.stats.worker_profiles.push(profile);
+            drop(state);
+            out.stats.worker_profiles.push(WorkerProfile {
+                worker: w,
+                comps,
+                idle_wait_ns: HistogramSnapshot::of(&idle_wait_ns),
+            });
             // Scoped threads can unblock the spawner before this thread's
             // TLS destructors run, so flush the trace ring explicitly.
             rid_obs::trace::flush_thread();
@@ -875,7 +711,7 @@ pub fn analyze_program_cached(
                 .map(|h| h.join().expect("worker does not panic"))
                 .collect()
         });
-        queue_depth_max = sched.depth_max.load(Ordering::Relaxed);
+        queue_depth_max = pool.into_inner().depth_max;
         outputs
     };
 
@@ -1196,54 +1032,111 @@ mod tests {
     }
 
     #[test]
-    fn steal_batch_settings_do_not_change_results() {
-        // The batch cap reshuffles execution order only; summaries and
-        // reports must be byte-identical at every setting, including the
-        // degenerate single-component-per-steal cap.
-        let sources = [FIGURE8, FIGURE9];
-        let reference =
-            analyze_sources(sources, &linux_dpm_apis(), &AnalysisOptions::default()).unwrap();
-        for steal_batch in [0usize, 1, 3, 64] {
-            let options =
-                AnalysisOptions { threads: 4, steal_batch, ..Default::default() };
-            let got = analyze_sources(sources, &linux_dpm_apis(), &options).unwrap();
-            assert_eq!(reference.reports, got.reports, "steal_batch {steal_batch}");
-            assert_eq!(
-                reference.stats.functions_analyzed, got.stats.functions_analyzed,
-                "steal_batch {steal_batch}"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_runs_record_per_worker_profiles() {
         let sources = [FIGURE8, FIGURE9];
         let options = AnalysisOptions { threads: 3, ..Default::default() };
         let result = analyze_sources(sources, &linux_dpm_apis(), &options).unwrap();
-        // One profile per spawned worker, in worker-index order, each
-        // accounting its executed components; together they cover every
-        // scheduled component exactly once.
+        // One profile per spawned worker, in worker-index order. No
+        // function here is recursive, so every analyzed function is one
+        // component, and the workers run each exactly once.
         let profiles = &result.stats.worker_profiles;
-        assert!(!profiles.is_empty());
         let workers: Vec<usize> = profiles.iter().map(|p| p.worker).collect();
-        let mut sorted = workers.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(workers, sorted, "one profile per worker, merged in order");
+        assert_eq!(workers, vec![0, 1, 2], "one profile per worker, merged in order");
         let comps: u64 = profiles.iter().map(|p| p.comps).sum();
-        assert!(comps > 0);
-        let steals: u64 = profiles.iter().map(|p| p.steals).sum();
-        assert_eq!(steals as usize, result.stats.steals);
-        for p in profiles {
-            assert_eq!(p.steal_batch.count, p.steals, "one batch sample per steal");
-            if p.steals > 0 {
-                assert!(p.steal_batch.min >= 1);
-            }
-        }
+        assert_eq!(comps as usize, result.stats.functions_analyzed);
+        // The three leaves are seeded onto the ready stack together.
+        assert_eq!(result.stats.queue_depth_max, 3);
+        assert_eq!(result.stats.steals, 0);
         // Sequential runs carry no profiles.
         let seq =
             analyze_sources(sources, &linux_dpm_apis(), &AnalysisOptions::default()).unwrap();
         assert!(seq.stats.worker_profiles.is_empty());
+        assert_eq!(seq.stats.queue_depth_max, 0);
+    }
+
+    /// A chain of `n` refcount-changing functions over a Figure 8 bug:
+    /// each completion unlocks exactly one caller, so every other worker
+    /// parks and is woken once per link.
+    fn chain_source(n: usize) -> String {
+        let mut src = String::from(
+            "module chain;\nfn f0(dev) { let r = pm_runtime_get_sync(dev); \
+             if (r < 0) { return 0; } pm_runtime_put(dev); return 0; }\n",
+        );
+        for i in 1..n {
+            src += &format!("fn f{i}(dev) {{ let r = f{}(dev); return r; }}\n", i - 1);
+        }
+        src
+    }
+
+    /// `roots` roots over `leaves_per_root` get/put leaves each.
+    fn fan_source(roots: usize, leaves_per_root: usize) -> String {
+        let mut src = String::from("module fan;\n");
+        for r in 0..roots {
+            let mut body = String::new();
+            for l in 0..leaves_per_root {
+                src += &format!(
+                    "fn leaf{r}_{l}(dev) {{ pm_runtime_get(dev); pm_runtime_put(dev); return; }}\n"
+                );
+                body += &format!("leaf{r}_{l}(dev); ");
+            }
+            src += &format!("fn root{r}(dev) {{ {body}return; }}\n");
+        }
+        src
+    }
+
+    /// A chain of `n` three-function recursive components. Every member
+    /// calls a refcount API itself, so each is analyzed.
+    fn scc_chain_source(n: usize) -> String {
+        let mut src = String::from("module sccs;\n");
+        for k in 0..n {
+            let below = if k == 0 { String::new() } else { format!("a{}(dev); ", k - 1) };
+            src += &format!(
+                "fn a{k}(dev) {{ {below}pm_runtime_get_sync(dev); b{k}(dev); return 0; }}\n\
+                 fn b{k}(dev) {{ pm_runtime_put(dev); c{k}(dev); return 0; }}\n\
+                 fn c{k}(dev) {{ if (dev.x > 0) {{ a{k}(dev); }} pm_runtime_put(dev); return 0; }}\n"
+            );
+        }
+        src
+    }
+
+    /// Shapes the corpora lack: reports and summaries at 2, 3 and 8
+    /// threads equal the sequential run's, and the workers run every
+    /// component once. Each run has 60 s to answer, so a lost wakeup
+    /// fails the test instead of hanging it.
+    #[test]
+    fn pool_matches_sequential_on_extreme_shapes() {
+        fn run(src: &str, threads: usize) -> (Vec<IppReport>, String, u64, usize) {
+            let src = src.to_owned();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let options = AnalysisOptions { threads, ..Default::default() };
+                let result = analyze_sources([src.as_str()], &linux_dpm_apis(), &options)
+                    .expect("synthetic program parses");
+                let comps = result.stats.worker_profiles.iter().map(|p| p.comps).sum();
+                let summaries = serde_json::to_string(&result.summaries).unwrap();
+                let _ = tx.send((result.reports, summaries, comps, result.stats.functions_analyzed));
+            });
+            let got = rx.recv_timeout(Duration::from_secs(60));
+            assert!(got.is_ok() || worker.is_finished(), "{threads}-thread run hung for 60 s");
+            worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            got.unwrap()
+        }
+        let shapes = [
+            ("chain", chain_source(300), 300, 300),
+            ("fan", fan_source(20, 100), 2_020, 2_020),
+            ("sccs", scc_chain_source(30), 90, 30),
+        ];
+        for (shape, src, functions, components) in shapes {
+            let (reports, summaries, _, analyzed) = run(&src, 1);
+            assert_eq!(analyzed, functions, "{shape}: every function is analyzed");
+            assert_eq!(reports.is_empty(), shape != "chain", "{shape}: only the chain has a bug");
+            for threads in [2, 3, 8] {
+                let got = run(&src, threads);
+                assert!(got.0 == reports, "{shape}: {threads}-thread reports differ");
+                assert!(got.1 == summaries, "{shape}: {threads}-thread summaries differ");
+                assert_eq!(got.2, components, "{shape}: {threads} workers ran each component once");
+            }
+        }
     }
 
     #[test]

@@ -201,8 +201,8 @@ struct TreeRun {
 
 /// A read-only view over callee summaries during summarization.
 ///
-/// The classic shape is a plain [`SummaryDb`] snapshot. The work-stealing
-/// scheduler instead publishes each computed summary into a lock-free
+/// The classic shape is a plain [`SummaryDb`] snapshot. The driver
+/// instead publishes each computed summary into a lock-free
 /// per-function slot (`OnceLock`) the moment it is done; dependency
 /// counting guarantees every slot a caller can reach is already set, so
 /// reads need no lock at all. Predefined summaries shadow definitions in

@@ -80,7 +80,6 @@ pub use classify::{Category, CategoryCounts, Classification};
 pub use driver::{
     analyze_program, analyze_program_cached, analyze_program_with_faults, analyze_sources,
     AnalysisOptions, AnalysisResult, AnalysisStats, HistogramSnapshot, WorkerProfile,
-    AUTO_STEAL_CAP,
 };
 pub use exec::{
     summarize_paths, summarize_paths_metered, summarize_paths_mode, ExecMode, PathEntry,

@@ -38,21 +38,13 @@ pub fn registry_from_stats(stats: &AnalysisStats) -> Registry {
     r.count("cache.hits", stats.cache_hits as u64);
     r.count("cache.misses", stats.cache_misses as u64);
     r.count("cache.invalidated", stats.cache_invalidated as u64);
-    r.count("sched.steals", stats.steals as u64);
     r.gauge("sched.queue_depth_max", stats.queue_depth_max as i64);
-    // Per-worker scheduler profiles, both per worker (`sched.w<i>.*`) and
-    // folded across workers (`sched.steal_batch` etc. — what the bench
-    // records and the v7 validator checks for presence).
+    // Per-worker profiles, both per worker (`sched.w<i>.*`) and folded
+    // across workers (`sched.idle_wait_ns`).
     for p in &stats.worker_profiles {
         let w = p.worker;
         r.count(&format!("sched.w{w}.comps"), p.comps);
-        r.count(&format!("sched.w{w}.steals"), p.steals);
-        r.count(&format!("sched.w{w}.scan_misses"), p.scan_misses);
-        r.insert_histogram(&format!("sched.w{w}.steal_batch"), &p.steal_batch.to_histogram());
-        r.insert_histogram(&format!("sched.w{w}.steal_scan"), &p.steal_scan.to_histogram());
         r.insert_histogram(&format!("sched.w{w}.idle_wait_ns"), &p.idle_wait_ns.to_histogram());
-        r.insert_histogram("sched.steal_batch", &p.steal_batch.to_histogram());
-        r.insert_histogram("sched.steal_scan", &p.steal_scan.to_histogram());
         r.insert_histogram("sched.idle_wait_ns", &p.idle_wait_ns.to_histogram());
     }
     r.gauge("phase.classify.wall_us", stats.classify_time.as_micros() as i64);
@@ -164,7 +156,6 @@ mod tests {
             sat_sat: 70,
             sat_unsat: 30,
             cache_hits: 2,
-            steals: 3,
             queue_depth_max: 5,
             ..AnalysisStats::default()
         };
@@ -172,7 +163,6 @@ mod tests {
         assert_eq!(r.counter("funcs.total"), 10);
         assert_eq!(r.counter("sat.queries"), 100);
         assert_eq!(r.counter("sat.sat") + r.counter("sat.unsat"), 100);
-        assert_eq!(r.counter("sched.steals"), 3);
         assert_eq!(r.gauge_value("sched.queue_depth_max"), Some(5));
         let json = r.to_json();
         assert!(json.contains("\"cache.hits\":2"));

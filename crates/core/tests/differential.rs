@@ -147,7 +147,7 @@ fn tree_matches_per_path_under_panic_faults() {
 
 #[test]
 fn scheduler_and_cache_match_reference_across_threads_and_faults() {
-    // The work-stealing scheduler and the persistent summary cache must
+    // The parallel pool and the persistent summary cache must
     // be invisible in the output: at every thread count, cold or warm,
     // under every supported fault plan, the summary database and report
     // set are byte-identical to the sequential per-path reference run

@@ -120,7 +120,7 @@ pub struct KernelConfig {
     /// one's bounded disequality splitting into a report that the exact
     /// second-stage refutation provably kills — the ground-truth
     /// population for measuring the refutation rate (see
-    /// [`spurious_module`] and `REPORTS.md`).
+    /// `spurious_module` and `REPORTS.md`).
     #[serde(default)]
     pub seeded_spurious: usize,
 }
@@ -315,11 +315,11 @@ pub fn generate_kernel(config: &KernelConfig) -> KernelCorpus {
     g.corpus
 }
 
-/// Guard values in a [`spurious_module`] function: the argument is bounded
+/// Guard values in a `spurious_module` function: the argument is bounded
 /// to `[0, SPURIOUS_DISEQS - 1]` and then excluded from every value in
 /// that interval, so proving the deep path infeasible takes
 /// `SPURIOUS_DISEQS` case splits — more than the stage-one default budget
-/// of 64 ([`rid_solver::SatOptions`]), fewer than the second stage's
+/// of 64 (`rid_solver::SatOptions`), fewer than the second stage's
 /// unlimited splitting needs to care about.
 pub const SPURIOUS_DISEQS: i64 = 72;
 

@@ -48,8 +48,6 @@ pub enum SpanKind {
     Refute,
     /// A persistent-summary-cache probe for one component.
     CacheLookup,
-    /// A work-stealing scan over sibling deques.
-    Steal,
     /// One request (or coalesced request batch) executed by the
     /// `rid serve` daemon; the value records how many client requests
     /// the execution answered (> 1 only for coalesced `patch` batches).
@@ -80,7 +78,6 @@ impl SpanKind {
             SpanKind::IppCheck => "ipp-check",
             SpanKind::Refute => "refute",
             SpanKind::CacheLookup => "cache-lookup",
-            SpanKind::Steal => "steal",
             SpanKind::Serve => "serve",
             SpanKind::Snapshot => "snapshot",
             SpanKind::Restore => "restore",
@@ -99,7 +96,7 @@ impl SpanKind {
     }
 
     /// All span kinds, in pipeline order.
-    pub fn all() -> [SpanKind; 14] {
+    pub fn all() -> [SpanKind; 13] {
         [
             SpanKind::Lower,
             SpanKind::Enumerate,
@@ -108,7 +105,6 @@ impl SpanKind {
             SpanKind::IppCheck,
             SpanKind::Refute,
             SpanKind::CacheLookup,
-            SpanKind::Steal,
             SpanKind::Serve,
             SpanKind::Snapshot,
             SpanKind::Restore,
@@ -134,9 +130,9 @@ pub struct TraceEvent {
     pub start_ns: u64,
     /// Span duration in nanoseconds (0 for instant events).
     pub dur_ns: u64,
-    /// True for point events (`Degrade`, `Fault`, steal scans).
+    /// True for point events (`Degrade`, `Fault`).
     pub instant: bool,
-    /// Free payload: path counts, solver depth, victim index…
+    /// Free payload: path counts, solver depth, snapshot bytes…
     pub value: u64,
 }
 
@@ -302,18 +298,6 @@ impl Span {
     pub fn set_value(&mut self, value: u64) {
         if let Some(live) = self.live.as_mut() {
             live.value = value;
-        }
-    }
-
-    /// Rename the span before it records. For spans whose meaning is only
-    /// known at the end — the scheduler's victim scan becomes a `steal`
-    /// on success but stays a `scan` (failed full sweep) otherwise —
-    /// renaming keeps the two outcomes distinguishable in traces.
-    #[inline]
-    pub fn set_name(&mut self, name: &str) {
-        if let Some(live) = self.live.as_mut() {
-            live.name.clear();
-            live.name.push_str(name);
         }
     }
 }
@@ -575,7 +559,7 @@ mod tests {
         let _g = lock();
         enable(4);
         for i in 0..10 {
-            event(SpanKind::Steal, "s", i);
+            event(SpanKind::Fault, "s", i);
         }
         disable();
         let t = drain();
@@ -623,7 +607,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
-                    event(SpanKind::Steal, "s", 1);
+                    event(SpanKind::Fault, "s", 1);
                     flush_thread();
                 });
             }

@@ -3,7 +3,7 @@
 //! Every other entry point in the workspace is a one-shot CLI run that
 //! rebuilds state from scratch unless the user hand-threads `--cache` /
 //! `--state` files between invocations. This crate turns the machinery
-//! built for warm re-analysis — the work-stealing driver, the
+//! built for warm re-analysis — the parallel driver, the
 //! content-addressed [`rid_core::SummaryCache`], and
 //! [`rid_core::incremental::affected_functions`] — into a long-lived
 //! server: one resident project state per registered project, a

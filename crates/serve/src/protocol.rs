@@ -112,7 +112,7 @@ impl Request {
 /// Unset fields keep the driver defaults ([`rid_core::AnalysisOptions`]).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ProjectOptions {
-    /// Worker threads for the work-stealing driver (default 1).
+    /// Worker threads for the parallel driver (default 1).
     #[serde(default)]
     pub threads: Option<usize>,
     /// §5.2 selective analysis (default true).

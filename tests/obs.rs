@@ -96,9 +96,9 @@ fn golden_normalized_span_sequence_is_stable() {
 #[test]
 fn chrome_trace_is_valid_and_covers_all_span_kinds() {
     let _guard = lock();
-    // Two workers: a worker whose own deque runs dry scans its victim,
-    // which is what emits the `steal` span — together with the cold
-    // cache probes this covers all seven pipeline span kinds.
+    // Two workers, so the spans come from the parallel pool; the cold
+    // cache probes emit `cache-lookup`, which covers all six pipeline
+    // span kinds.
     let (_, trace) = golden_run(2);
 
     let pipeline_kinds = [
@@ -108,7 +108,6 @@ fn chrome_trace_is_valid_and_covers_all_span_kinds() {
         SpanKind::Solve,
         SpanKind::IppCheck,
         SpanKind::CacheLookup,
-        SpanKind::Steal,
     ];
     for kind in pipeline_kinds {
         assert!(
